@@ -1,6 +1,6 @@
 #pragma once
 
-// Types shared by the benchmark's driver (main.cpp), its per-layer probes
+// Types shared by the benchmark's run loop (main.cpp), its per-layer probes
 // (layers.cpp) and its output (report.cpp).
 
 #include <cstdint>

@@ -501,7 +501,7 @@ int emit_golden(const std::string& path) {
 }
 
 // --------------------------------------------------------------------------
-// Driver
+// Run loop
 // --------------------------------------------------------------------------
 
 int run(const Args& a) {
