@@ -38,4 +38,11 @@ bool corrupt_golden(const std::string& name) {
   return true;
 }
 
+bool corrupt_golden_actions(const std::string& name) {
+  const auto it = index().find(name);
+  if (it == index().end()) return false;
+  ++it->second->actions;
+  return true;
+}
+
 }  // namespace msb

@@ -29,6 +29,9 @@ struct GoldenEntry {
 /// Flips the low bit of one entry's virtual ms (the self-test's corrupted
 /// entry). Returns false when no entry has that name.
 bool corrupt_golden(const std::string& name);
+/// Adds one to an entry's runtime action count (the self-test's stale action
+/// table). Returns false when no entry has that name.
+bool corrupt_golden_actions(const std::string& name);
 
 // --------------------------------------------------------------------------
 // Benchmark-side spans: recorded in memory around each call into a layer,
@@ -90,9 +93,9 @@ struct RunConfig {
   int sweep_threads = 1;  ///< SweepOptions::threads for pooled workloads
 };
 
-/// Runs every job once through one sim::parallel_map: on the sweep pool, or
-/// serially on the calling thread for observed_replay, which also scrapes the
-/// registry after each job.
+/// Runs every job once through one sim::parallel_map on the sweep pool;
+/// observed_replay also scrapes the registry after each job, on the job's
+/// thread, while the other threads' jobs keep updating it.
 /// `spans` (may be null) receives the benchmark-side spans.
 [[nodiscard]] Pass run_pass(const JobList& jl, const RunConfig& rc, SpanLog* spans);
 

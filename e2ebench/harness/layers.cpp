@@ -81,10 +81,9 @@ void add_registry_layers(Metrics& m, const Pass& pass, const RunConfig& rc) {
   m.push_back({"apps.jobs", {static_cast<double>(pass.runs.size()), "count"}});
 
   const double busy_s = counter("ms_pool_worker_busy_ns") * 1e-9;
-  const int threads = rc.workload == Workload::ObservedReplay ? 1 : rc.sweep_threads;
   m.push_back({"sim.pool.wall_s", {pass.wall_s, "s"}});
   m.push_back({"sim.pool.busy_s", {busy_s, "s"}});
-  m.push_back({"sim.pool.utilization", {ratio(busy_s, pass.wall_s * threads), "ratio"}});
+  m.push_back({"sim.pool.utilization", {ratio(busy_s, pass.wall_s * rc.sweep_threads), "ratio"}});
   m.push_back({"sim.pool.longest_job_s", {longest, "s"}});
   m.push_back({"sim.pool.queue_wait_s", {r["ms_pool_queue_wait_ns"].hist_sum * 1e-9, "s"}});
 
@@ -277,7 +276,7 @@ KernRates add_kern_layers(Metrics& m, SpanLog* spans) {
     k::gemm_nn_sub(sq_a.data(), sq_b.data(), work.data(), kTile, kTile, kTile, kTile, kTile, kTile);
   });
 
-  // kmeans: one chunk of the 100 000-point set cut into 8 tiles.
+  // kmeans: one chunk of the 50 000-point set cut into 4 tiles (the T=2 jobs).
   {
     constexpr std::size_t n = 12500, dims = 34, clusters = 8;
     const auto pts = uniform_f(n * dims, 11, 0.0f, 10.0f);

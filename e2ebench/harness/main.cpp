@@ -3,7 +3,8 @@
 //
 //   mstream_e2ebench --workload <paper_sweep|functional_apps|observed_replay>
 //                    --seed N --seconds S --trace 0|1 [--tiny]
-//                    [--corrupt-golden JOB] [--trace-file PATH] [--commit SHA]
+//                    [--corrupt-golden JOB] [--corrupt-actions JOB]
+//                    [--trace-file PATH] [--commit SHA]
 //   mstream_e2ebench --workload W [--seed N] [--tiny] --list-jobs
 //   mstream_e2ebench --emit-golden PATH
 //
@@ -127,7 +128,7 @@ Pass run_pass(const JobList& jl, const RunConfig& rc, SpanLog* spans) {
     return r;
   };
   ms::sim::SweepOptions opt;
-  opt.threads = observed ? 1 : rc.sweep_threads;
+  opt.threads = rc.sweep_threads;
   pass.runs = ms::sim::parallel_map<JobRun>(jl.jobs.size(), body, opt);
 
   const std::uint64_t t1 = now_ns();
@@ -151,10 +152,11 @@ struct Args {
   Workload workload = Workload::PaperSweep;
   bool have_workload = false;
   std::uint64_t seed = 0;
-  double seconds = 10.0;
+  double seconds = -1.0;  ///< required for a run; run.py supplies the default
   bool trace = false;
   bool tiny = false;
   std::string corrupt;
+  std::string corrupt_actions;
   std::string trace_file;
   std::string commit = "unknown";
   std::string emit_golden;
@@ -188,6 +190,8 @@ Args parse_args(int argc, char** argv) {
         a.tiny = true;
       } else if (k == "--corrupt-golden") {
         a.corrupt = val();
+      } else if (k == "--corrupt-actions") {
+        a.corrupt_actions = val();
       } else if (k == "--trace-file") {
         a.trace_file = val();
       } else if (k == "--commit") {
@@ -204,6 +208,9 @@ Args parse_args(int argc, char** argv) {
     }
   }
   if (!a.have_workload && a.emit_golden.empty()) usage_error("--workload is required");
+  if (a.seconds < 0.0 && a.emit_golden.empty() && !a.list_jobs) {
+    usage_error("--seconds is required");
+  }
   return a;
 }
 
@@ -253,6 +260,24 @@ public:
       if (reasons_.size() < 20) reasons_.push_back(jl.jobs[i].name + ": " + why);
     }
     return failed;
+  }
+
+  /// Checks a traced pass's runtime action count (`ms_rt_actions_total`,
+  /// reset before the pass) against the golden table's per-job counts, the
+  /// numerator of sim_actions_per_s. A mismatch is one failure: the table is
+  /// stale for what the program now runs.
+  std::size_t check_actions(const JobList& jl, std::uint64_t measured) {
+    std::uint64_t want = 0;
+    for (const Job& j : jl.jobs) {
+      if (const GoldenEntry* g = find_golden(j.name)) want += g->actions;
+    }
+    if (measured == want) return 0;
+    if (reasons_.size() < 20) {
+      reasons_.push_back("pass ran " + std::to_string(measured) +
+                         " runtime actions, the golden table says " + std::to_string(want) +
+                         " (stale table)");
+    }
+    return 1;
   }
 
   [[nodiscard]] const std::vector<std::string>& reasons() const { return reasons_; }
@@ -331,9 +356,6 @@ Setup do_setup(const Args& a, const RunConfig& rc) {
     const GoldenEntry* g = find_golden(s.jobs.jobs[i].name);
     by_app[s.jobs.jobs[i].app].push_back({g != nullptr ? g->host_ms : 0.0, i});
   }
-  // Warm-ups run the way the passes do: on the sweep pool, or serially.
-  ms::sim::SweepOptions warm_opt = opt;
-  if (a.workload == Workload::ObservedReplay) warm_opt.threads = 1;
   std::vector<std::size_t> warm;
   for (auto& [app, jobs] : by_app) {
     std::sort(jobs.begin(), jobs.end());
@@ -348,7 +370,7 @@ Setup do_setup(const Args& a, const RunConfig& rc) {
           // A throwing job fails in the measured passes.
         }
       },
-      warm_opt);
+      opt);
   s.seconds = static_cast<double>(now_ns() - t0) * 1e-9;
   return s;
 }
@@ -432,8 +454,7 @@ void print_context(const Args& a, const RunConfig& rc, const RunInfo& info,
   std::cout << "{\"context\": {\"workload\": " << json_string(to_string(a.workload))
             << ", \"seed\": " << a.seed << ", \"trace\": " << (a.trace ? 1 : 0)
             << ", \"tiny\": " << (a.tiny ? "true" : "false") << ", \"nproc\": " << affinity_cpus()
-            << ", \"sweep_threads\": "
-            << (rc.workload == Workload::ObservedReplay ? 1 : rc.sweep_threads)
+            << ", \"sweep_threads\": " << rc.sweep_threads
             << ", \"kern_par_threads\": " << ms::kern::par::threads()
             << ", \"compiler\": " << json_string(compiler())
             << ", \"build_type\": " << json_string(MSB_BUILD_TYPE)
@@ -509,20 +530,23 @@ int run(const Args& a) {
   rc.workload = a.workload;
   rc.sweep_threads = std::min(affinity_cpus(), 4);
   if (!a.corrupt.empty() && !corrupt_golden(a.corrupt)) usage_error("no golden entry " + a.corrupt);
+  if (!a.corrupt_actions.empty() && !corrupt_golden_actions(a.corrupt_actions)) {
+    usage_error("no golden entry " + a.corrupt_actions);
+  }
   if (!release_build()) std::cerr << "WARNING: non-Release build (" << MSB_BUILD_TYPE << ")\n";
   ms::telemetry::set_enabled(telemetry_on(a.workload));
 
   RunInfo info;
   Setup setup;
   // Set up at least three times (once when traced); cheap set-ups repeat
-  // until a quarter second is spent, so their median is not one noisy sample.
+  // until a second is spent, so their median is not one of a few noisy samples.
   double setup_total = 0.0;
   do {
     setup = do_setup(a, rc);
     info.setups.push_back(setup.seconds);
     setup_total += setup.seconds;
   } while (!a.trace && (info.setups.size() < 3 ||
-                        (setup_total < 0.25 && info.setups.size() < 25)));
+                        (setup_total < 1.0 && info.setups.size() < 40)));
   const JobList& jl = setup.jobs;
   if (jl.jobs.empty()) usage_error("empty job list");
   info.jobs = jl.jobs.size();
@@ -588,6 +612,7 @@ int run(const Args& a) {
       ms::telemetry::registry().reset_all();
       const Pass traced = run_pass(jl, rc, &spans);
       checked(traced);
+      if (ms::telemetry::kCompiledIn) failed += gate.check_actions(jl, actions_total());
       traced_wall.push_back(traced.wall_s);
       registry_layers.clear();
       add_registry_layers(registry_layers, traced, rc);

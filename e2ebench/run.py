@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the mstream end-to-end benchmark (see README.md).
 
-    python3 e2ebench/run.py --workload paper_sweep --seed 0 --seconds 20 --trace 0
+    python3 e2ebench/run.py --workload paper_sweep --seed 0 --seconds 30 --trace 0
     python3 e2ebench/run.py --self-test
 
 Run from the repository root. The program is built from source into
@@ -78,7 +78,8 @@ def run_captured(args, quiet=False):
 
 def self_test():
     """Tiny job list per workload: every metric printed with its unit, no
-    failed job, and a corrupted golden entry counted as a failure."""
+    failed job, and a corrupted golden entry counted as a failure (its
+    virtual ms untraced, its runtime action count traced)."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     problems = []
@@ -103,6 +104,11 @@ def self_test():
             problems.append(f"{w}: corrupted golden entry {victim} was not counted as failed")
         if res["metrics"]["ok_frac"]["value"] >= 1.0:
             problems.append(f"{w}: ok_frac did not drop with a corrupted golden entry")
+        _, res = run_captured(bench_args(w, 0, 1, 1, ["--tiny", "--corrupt-actions", victim]),
+                              quiet=True)
+        if res["failed"] < 1 or res["correct"]:
+            problems.append(f"{w}: corrupted golden action count of {victim} was not counted "
+                            "as failed")
     for p in problems:
         print("SELF-TEST FAILED: " + p, file=sys.stderr)
     print("self-test " + ("failed" if problems else "passed"))
@@ -121,9 +127,8 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--tiny", action="store_true", help="cheap job subset (self-test)")
     p.add_argument("--self-test", action="store_true")
     a = p.parse_args()
     build()
@@ -131,9 +136,8 @@ def main():
         return self_test()
     if a.workload is None:
         p.error("--workload is required")
-    extra = ["--tiny"] if a.tiny else []
     try:
-        return subprocess.run(bench_args(a.workload, a.seed, a.seconds, a.trace, extra),
+        return subprocess.run(bench_args(a.workload, a.seed, a.seconds, a.trace),
                               timeout=RUN_TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         fail(f"benchmark did not finish within {RUN_TIMEOUT_S} s")
