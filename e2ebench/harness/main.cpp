@@ -60,18 +60,24 @@ bool reset_peak_rss() {
   return std::fclose(f) == 0 && ok;
 }
 
+/// A /proc/self/status size field ("VmHWM: %ld kB") in MB; -1 when unreadable.
+double status_mb(const char* format) {
+  long kb = -1;
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, format, &kb) == 1) break;
+    }
+    std::fclose(f);
+  }
+  return kb > 0 ? static_cast<double>(kb) / 1024.0 : -1.0;
+}
+
 /// Resident high-water mark in MB: VmHWM since the last reset, else the
 /// process lifetime peak.
 double peak_rss_mb() {
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    long kb = -1;
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
-    }
-    std::fclose(f);
-    if (kb > 0) return static_cast<double>(kb) / 1024.0;
-  }
+  const double hwm = status_mb("VmHWM: %ld kB");
+  if (hwm > 0.0) return hwm;
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
@@ -81,12 +87,6 @@ double peak_rss_mb() {
 
 Pass run_pass(const JobList& jl, const RunConfig& rc, SpanLog* spans) {
   const bool observed = rc.workload == Workload::ObservedReplay;
-#ifdef __GLIBC__
-  // Hand freed heap back to the OS first, so every pass pays the page faults
-  // a fresh process pays and peak RSS does not grow with the pass count
-  // (worker arenas would otherwise keep each giant job's memory).
-  malloc_trim(0);
-#endif
   (void)reset_peak_rss();
   Pass pass;
   const std::uint64_t pass_id = spans != nullptr ? spans->next_id() : 0;
@@ -438,11 +438,18 @@ std::string compiler() {
 #endif
 }
 
+std::string env_or_empty(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? v : "";
+}
+
 bool release_build() { return std::string(MSB_BUILD_TYPE) == "Release"; }
 
 struct RunInfo {
   std::size_t jobs = 0;
   std::size_t passes = 0;
+  std::vector<double> warm_walls;
+  std::size_t heap_trims = 0;
   double tail_percentile = 0.0;
   std::vector<double> setups;
   std::vector<double> pass_walls;
@@ -462,7 +469,8 @@ void print_context(const Args& a, const RunConfig& rc, const RunInfo& info,
             << ", \"MS_NATIVE\": " << MSB_NATIVE << ", \"MS_TELEMETRY\": " << MSB_TELEMETRY
             << ", \"telemetry_on\": " << (telemetry_on(a.workload) ? "true" : "false")
             << ", \"commit\": " << json_string(a.commit) << ", \"jobs_per_pass\": " << info.jobs
-            << ", \"passes\": " << info.passes
+            << ", \"passes\": " << info.passes << ", \"heap_trims\": " << info.heap_trims
+            << ", \"GLIBC_TUNABLES\": " << json_string(env_or_empty("GLIBC_TUNABLES"))
             << ", \"job_ms_tail_percentile\": " << json_number(info.tail_percentile)
             << ", \"job_ms_tail_samples\": " << info.jobs << ", \"setup_runs_s\": [";
   for (std::size_t i = 0; i < info.setups.size(); ++i) {
@@ -471,6 +479,10 @@ void print_context(const Args& a, const RunConfig& rc, const RunInfo& info,
   std::cout << "], \"pass_wall_s\": [";
   for (std::size_t i = 0; i < info.pass_walls.size(); ++i) {
     std::cout << (i ? ", " : "") << json_number(info.pass_walls[i]);
+  }
+  std::cout << "], \"warm_pass_wall_s\": [";
+  for (std::size_t i = 0; i < info.warm_walls.size(); ++i) {
+    std::cout << (i ? ", " : "") << json_number(info.warm_walls[i]);
   }
   std::cout << "], \"pass_sys_s\": [";
   for (std::size_t i = 0; i < info.pass_sys.size(); ++i) {
@@ -525,6 +537,37 @@ int emit_golden(const std::string& path) {
 // Run loop
 // --------------------------------------------------------------------------
 
+/// Untimed passes before the timed ones. Freed heap stays with the process
+/// (run.py raises glibc's trim threshold), so after these the timed passes
+/// reuse the memory earlier passes faulted in instead of faulting it again.
+constexpr int kWarmPasses = 2;
+
+/// Keeps resident memory bounded while freed heap stays with the process.
+/// Each malloc arena keeps what the biggest job it ran needed. Should the
+/// biggest jobs wander to arenas that have not held them yet, resident
+/// memory after a pass exceeds twice the first pass's peak, and the heap is
+/// trimmed once.
+class HeapBound {
+public:
+  void after(const Pass& p) {
+    if (first_peak_mb_ <= 0.0) first_peak_mb_ = p.peak_rss_mb;
+#ifdef __GLIBC__
+    if (status_mb("VmRSS: %ld kB") > 2.0 * first_peak_mb_) {
+      malloc_trim(0);
+      ++trims_;
+    }
+#endif
+  }
+  [[nodiscard]] std::size_t trims() const noexcept { return trims_; }
+  /// Peak resident memory of the first pass, the one pass that starts from
+  /// the heap the set-up left rather than from one earlier passes grew.
+  [[nodiscard]] double first_peak_mb() const noexcept { return first_peak_mb_; }
+
+private:
+  double first_peak_mb_ = 0.0;
+  std::size_t trims_ = 0;
+};
+
 int run(const Args& a) {
   RunConfig rc;
   rc.workload = a.workload;
@@ -556,22 +599,32 @@ int run(const Args& a) {
   Gate gate(a.seed, setup.baselines);
   std::size_t attempted = 0;
   std::size_t failed = 0;
-  const auto checked = [&](const Pass& p) {
+  HeapBound heap;
+  // Every pass, warm-up or timed, traced or not, is checked.
+  const auto checked_pass = [&](SpanLog* spans) {
+    Pass p = run_pass(jl, rc, spans);
     attempted += p.runs.size();
     failed += gate.check(jl, p);
+    heap.after(p);
+    return p;
   };
   Metrics m;
 
+  // Warm-up passes, checked but not timed: the heap grows to what the job
+  // list needs and the arenas settle before anything is timed.
+  Pass last_plain;
+  for (int i = 0; i < kWarmPasses; ++i) {
+    last_plain = checked_pass(nullptr);
+    info.warm_walls.push_back(last_plain.wall_s);
+  }
   const std::uint64_t start = now_ns();
   const auto elapsed = [&] { return static_cast<double>(now_ns() - start) * 1e-9; };
   if (!a.trace) {
     std::vector<Pass> passes;
-    // At least three passes, so the median drops a cold first pass.
     do {
-      passes.push_back(run_pass(jl, rc, nullptr));
-      checked(passes.back());
+      passes.push_back(checked_pass(nullptr));
     } while (passes.size() < 3 || elapsed() + passes.back().wall_s <= a.seconds);
-    std::vector<double> wall, p50, tail, aps, gf, rss;
+    std::vector<double> wall, p50, tail, aps, gf;
     for (const Pass& p : passes) {
       const PassStats s = pass_stats(jl, p);
       wall.push_back(p.wall_s);
@@ -579,7 +632,6 @@ int run(const Args& a) {
       tail.push_back(s.tail_ms);
       aps.push_back(s.actions_per_s);
       gf.push_back(s.gflops);
-      rss.push_back(p.peak_rss_mb);
     }
     info.passes = passes.size();
     info.pass_walls = wall;
@@ -590,28 +642,23 @@ int run(const Args& a) {
     m.push_back({"job_ms_tail", {median(tail), "ms"}});
     m.push_back({"sim_actions_per_s", {median(aps), "1/s"}});
     m.push_back({"host_gflops", {median(gf), "GFLOP/s"}});
-    m.push_back({"peak_rss_mb", {median(rss), "MB"}});
+    m.push_back({"peak_rss_mb", {heap.first_peak_mb(), "MB"}});
     m.push_back({"ok_frac",
                  {1.0 - static_cast<double>(failed) / static_cast<double>(attempted), "ratio"}});
   } else {
     // Untraced passes (the workload's own telemetry setting) alternate with
-    // traced ones (telemetry on, benchmark spans recorded), after one
-    // untraced pass that warms the process and is checked but not timed.
+    // traced ones (telemetry on, benchmark spans recorded).
     SpanLog spans;
     std::vector<double> plain_wall, traced_wall;
-    Pass last_plain = run_pass(jl, rc, nullptr);
-    checked(last_plain);
     Metrics registry_layers;
     do {
       ms::telemetry::set_enabled(telemetry_on(a.workload));
-      last_plain = run_pass(jl, rc, nullptr);
-      checked(last_plain);
+      last_plain = checked_pass(nullptr);
       plain_wall.push_back(last_plain.wall_s);
 
       ms::telemetry::set_enabled(true);
       ms::telemetry::registry().reset_all();
-      const Pass traced = run_pass(jl, rc, &spans);
-      checked(traced);
+      const Pass traced = checked_pass(&spans);
       if (ms::telemetry::kCompiledIn) failed += gate.check_actions(jl, actions_total());
       traced_wall.push_back(traced.wall_s);
       registry_layers.clear();
@@ -647,6 +694,7 @@ int run(const Args& a) {
     if (!a.trace_file.empty()) write_chrome_trace(a.trace_file, spans.take());
   }
 
+  info.heap_trims = heap.trims();
   print_context(a, rc, info, gate.reasons());
   for (const std::string& why : gate.reasons()) std::cerr << "FAILED " << why << "\n";
   print_result(failed == 0, attempted, failed, m);

@@ -22,6 +22,11 @@ BUILD = os.path.join(ROOT, ".bench_build", "e2ebench")
 BINARY = os.path.join(BUILD, "mstream_e2ebench")
 WORKLOADS = ("paper_sweep", "functional_apps", "observed_replay")
 RUN_TIMEOUT_S = 175
+# Freed heap stays with the benchmark process: a trim threshold no heap
+# reaches, and a fixed mmap threshold at glibc's largest dynamic value (a set
+# trim threshold freezes the dynamic one at 128 KiB). A pass then reuses the
+# memory the pass before it freed instead of faulting it in again.
+HEAP_TUNABLES = "glibc.malloc.trim_threshold=1099511627776:glibc.malloc.mmap_threshold=33554432"
 
 
 def fail(msg):
@@ -56,6 +61,12 @@ def git_commit():
         return "unknown"
 
 
+def bench_env():
+    env = dict(os.environ)
+    env["GLIBC_TUNABLES"] = ":".join(t for t in (env.get("GLIBC_TUNABLES"), HEAP_TUNABLES) if t)
+    return env
+
+
 def bench_args(workload, seed, seconds, trace, extra=()):
     args = [BINARY, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace), "--commit", git_commit(), *extra]
@@ -67,7 +78,8 @@ def bench_args(workload, seed, seconds, trace, extra=()):
 
 def run_captured(args, quiet=False):
     """Runs the benchmark binary and returns (context, result) parsed from stdout."""
-    out = subprocess.run(args, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    out = subprocess.run(args, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+                         env=bench_env())
     if not quiet:
         sys.stderr.write(out.stderr)
     lines = [l for l in out.stdout.splitlines() if l.strip()]
@@ -138,7 +150,7 @@ def main():
         p.error("--workload is required")
     try:
         return subprocess.run(bench_args(a.workload, a.seed, a.seconds, a.trace),
-                              timeout=RUN_TIMEOUT_S).returncode
+                              timeout=RUN_TIMEOUT_S, env=bench_env()).returncode
     except subprocess.TimeoutExpired:
         fail(f"benchmark did not finish within {RUN_TIMEOUT_S} s")
 
