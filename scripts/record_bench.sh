@@ -4,12 +4,10 @@
 #   bench_kernels   -> BENCH_KERNELS.json
 #   bench_telemetry -> BENCH_TELEMETRY.json (metrics-off vs -on A/B)
 #   bench_graph     -> BENCH_GRAPH.json (interpreted vs compiled vs batched)
-#   bench_pdes      -> BENCH_PDES.json (serial vs conservative vs speculative
-#                      engine A/B + CF join-density sweep with PDES counters)
 #   bench_simcore   -> BENCH_SIMCORE.json (engine/runtime host-cost baseline
 #                      for the report-only CI regression smoke)
 #
-#   scripts/record_bench.sh [build-dir] [kernels-out.json] [telemetry-out.json] [graph-out.json] [pdes-out.json] [simcore-out.json]
+#   scripts/record_bench.sh [build-dir] [kernels-out.json] [telemetry-out.json] [graph-out.json] [simcore-out.json]
 #
 # Pass a build configured with -DMS_NATIVE=ON to record the full-ISA numbers.
 set -euo pipefail
@@ -19,13 +17,12 @@ SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 OUT="${2:-${SOURCE_DIR}/BENCH_KERNELS.json}"
 TEL_OUT="${3:-${SOURCE_DIR}/BENCH_TELEMETRY.json}"
 GRAPH_OUT="${4:-${SOURCE_DIR}/BENCH_GRAPH.json}"
-PDES_OUT="${5:-${SOURCE_DIR}/BENCH_PDES.json}"
-SIMCORE_OUT="${6:-${SOURCE_DIR}/BENCH_SIMCORE.json}"
+SIMCORE_OUT="${5:-${SOURCE_DIR}/BENCH_SIMCORE.json}"
 
 if [[ ! -x "${BUILD_DIR}/bench/bench_kernels" || ! -x "${BUILD_DIR}/bench/bench_telemetry" ||
-      ! -x "${BUILD_DIR}/bench/bench_graph" || ! -x "${BUILD_DIR}/bench/bench_pdes" || ! -x "${BUILD_DIR}/bench/bench_simcore" ]]; then
+      ! -x "${BUILD_DIR}/bench/bench_graph" || ! -x "${BUILD_DIR}/bench/bench_simcore" ]]; then
   cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${BUILD_DIR}" -j --target bench_kernels bench_telemetry bench_graph bench_pdes bench_simcore
+  cmake --build "${BUILD_DIR}" -j --target bench_kernels bench_telemetry bench_graph bench_simcore
 fi
 
 "${BUILD_DIR}/bench/bench_kernels" \
@@ -48,13 +45,6 @@ echo "record_bench: wrote ${TEL_OUT}"
   --benchmark_out="${GRAPH_OUT}"
 
 echo "record_bench: wrote ${GRAPH_OUT}"
-
-"${BUILD_DIR}/bench/bench_pdes" \
-  --benchmark_format=json \
-  --benchmark_out_format=json \
-  --benchmark_out="${PDES_OUT}"
-
-echo "record_bench: wrote ${PDES_OUT}"
 
 "${BUILD_DIR}/bench/bench_simcore" \
   --benchmark_format=json \

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,10 @@ struct Mutation {
   std::string name;
   std::function<void(SimConfig&)> apply;
 };
+
+// Print a mutation by its name. Without this gtest dumps the raw bytes of the
+// struct, heap pointers included, and the listed test names change per run.
+void PrintTo(const Mutation& m, std::ostream* os) { *os << m.name; }
 
 class InvalidConfigSweep : public ::testing::TestWithParam<Mutation> {};
 

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/mm_app.hpp"
+#include "sim/sim_config.hpp"
 #include "trace/chrome_trace.hpp"
 
 namespace ms::telemetry {
@@ -123,6 +125,27 @@ TEST_F(Spans, ClearSpansEmptiesEveryRing) {
   record_span("test.spans.clear", 1, 2);
   clear_spans();
   EXPECT_TRUE(spans_named("test.spans.clear").empty());
+}
+
+// Context::synchronize is the only producer of the Chrome counter tracks:
+// each sync samples the parked depot bytes and every device's link
+// in-flight bytes, under the registry's labeled series names.
+TEST_F(Spans, SynchronizeSamplesDepotAndPerDeviceLinkTracks) {
+  const std::uint64_t t0 = now_ns();
+  apps::MmConfig c;
+  c.dim = 64;
+  c.tile_grid = 2;
+  (void)apps::MmApp::run(sim::SimConfig::phi_31sp_x2(), c);
+  bool link1 = false;
+  bool depot = false;
+  for (const CounterSample& sample : collect_counter_samples()) {
+    if (sample.t_ns < t0) continue;
+    const std::string name = sample.name;
+    link1 = link1 || name == "ms_rt_link_inflight_bytes{device=\"1\"}";
+    depot = depot || name == "ms_sim_depot_parked_bytes";
+  }
+  EXPECT_TRUE(link1);
+  EXPECT_TRUE(depot);
 }
 
 // -------------------------------------------------------------------------

@@ -48,6 +48,7 @@
 //   --no-compile                        (graph) interpreted Graph::launch() baseline
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -58,6 +59,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "analyze/capture.hpp"
 #include "analyze/report.hpp"
@@ -180,6 +183,24 @@ void write_metrics(const Cli& cli) {
   }
 }
 
+/// Parse a whole flag value into `out`. Rejects empty input, leading or
+/// trailing characters, overflow and non-finite values. Integer flags are
+/// counts and must be >= 1; real-valued flags must be >= 0.
+template <typename T>
+bool parse_number(const char* v, T* out) {
+  const char* end = v + std::strlen(v);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(v, end, value);
+  if (v == end || ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value) || value < 0.0) return false;
+  } else {
+    if (value < 1) return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool parse_flags(int argc, char** argv, int first, Cli* cli) {
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -190,18 +211,23 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* what, auto* out) {
+      const char* v = next(what);
+      if (v == nullptr) return false;
+      if (!parse_number(v, out)) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n", what, v);
+        return false;
+      }
+      return true;
+    };
     if (flag == "--baseline") {
       cli->baseline = true;
     } else if (flag == "--no-compile") {
       cli->no_compile = true;
     } else if (flag == "--replays") {
-      const char* v = next("--replays");
-      if (v == nullptr) return false;
-      cli->replays = std::atoi(v);
+      if (!number("--replays", &cli->replays)) return false;
     } else if (flag == "--batch") {
-      const char* v = next("--batch");
-      if (v == nullptr) return false;
-      cli->batch = std::atoi(v);
+      if (!number("--batch", &cli->batch)) return false;
     } else if (flag == "--functional") {
       cli->functional = true;
     } else if (flag == "--utilization") {
@@ -213,9 +239,7 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       if (v == nullptr) return false;
       cli->metrics_path = v;
     } else if (flag == "--metrics-interval") {
-      const char* v = next("--metrics-interval");
-      if (v == nullptr) return false;
-      cli->metrics_interval = std::atof(v);
+      if (!number("--metrics-interval", &cli->metrics_interval)) return false;
       if (cli->metrics_interval <= 0.0) {
         std::fprintf(stderr, "--metrics-interval wants a positive seconds value\n");
         return false;
@@ -245,41 +269,23 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       if (v == nullptr) return false;
       cli->dot_path = v;
     } else if (flag == "--partitions") {
-      const char* v = next("--partitions");
-      if (v == nullptr) return false;
-      cli->partitions = std::atoi(v);
+      if (!number("--partitions", &cli->partitions)) return false;
     } else if (flag == "--tiles") {
-      const char* v = next("--tiles");
-      if (v == nullptr) return false;
-      cli->tiles = std::atoi(v);
+      if (!number("--tiles", &cli->tiles)) return false;
     } else if (flag == "--dim") {
-      const char* v = next("--dim");
-      if (v == nullptr) return false;
-      cli->dim = static_cast<std::size_t>(std::atoll(v));
+      if (!number("--dim", &cli->dim)) return false;
     } else if (flag == "--points") {
-      const char* v = next("--points");
-      if (v == nullptr) return false;
-      cli->points = static_cast<std::size_t>(std::atoll(v));
+      if (!number("--points", &cli->points)) return false;
     } else if (flag == "--iters") {
-      const char* v = next("--iters");
-      if (v == nullptr) return false;
-      cli->iters = std::atoi(v);
+      if (!number("--iters", &cli->iters)) return false;
     } else if (flag == "--h2d-mib") {
-      const char* v = next("--h2d-mib");
-      if (v == nullptr) return false;
-      cli->h2d_mib = std::atof(v);
+      if (!number("--h2d-mib", &cli->h2d_mib)) return false;
     } else if (flag == "--d2h-mib") {
-      const char* v = next("--d2h-mib");
-      if (v == nullptr) return false;
-      cli->d2h_mib = std::atof(v);
+      if (!number("--d2h-mib", &cli->d2h_mib)) return false;
     } else if (flag == "--gflop") {
-      const char* v = next("--gflop");
-      if (v == nullptr) return false;
-      cli->gflop = std::atof(v);
+      if (!number("--gflop", &cli->gflop)) return false;
     } else if (flag == "--gelem") {
-      const char* v = next("--gelem");
-      if (v == nullptr) return false;
-      cli->gelem = std::atof(v);
+      if (!number("--gelem", &cli->gelem)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -330,8 +336,8 @@ void report(const ms::apps::AppResult& r, const Cli& cli, const ms::sim::SimConf
   if (!cli.trace_path.empty()) {
     // With telemetry on, the export carries the wall-clock host track next
     // to the virtual device timeline (one combined Perfetto view), plus the
-    // counter tracks (queue depth, pool bytes, link occupancy) the parallel
-    // engine samples at its window barriers.
+    // counter tracks (parked depot bytes, per-device link in-flight bytes)
+    // that Context::synchronize samples.
     const auto host_spans = ms::telemetry::collect_spans();
     const auto counters = ms::telemetry::collect_counter_samples();
     const bool ok = with_output(cli.trace_path, [&](std::ostream& os) {
@@ -659,41 +665,6 @@ int run_stats_list() {
   return 0;
 }
 
-/// Human-readable summary of the parallel-engine protocol counters when a
-/// ParEngine ran (MS_PAR_ENGINE / MS_PAR_SPECULATE). The raw families are
-/// in the Prometheus dump too; this block is the at-a-glance view.
-void print_pdes_summary() {
-  const auto snap = ms::telemetry::registry().snapshot();
-  std::uint64_t windows = 0, microsteps = 0, posts = 0, spec = 0, replays = 0;
-  std::uint64_t riskfree = 0, rollbacks = 0;
-  bool any = false;
-  for (const auto& m : snap.metrics) {
-    const std::string& n = m.name;
-    if (n.rfind("ms_sim_pdes_", 0) != 0) continue;
-    // Family children repeat the name once per label value: accumulate.
-    if (n == "ms_sim_pdes_windows_total") windows += m.counter;
-    else if (n == "ms_sim_pdes_microsteps_total") microsteps += m.counter;
-    else if (n == "ms_sim_pdes_posts_total") posts += m.counter;
-    else if (n == "ms_sim_pdes_speculative_windows_total") spec += m.counter;
-    else if (n == "ms_sim_pdes_replay_steps_total") replays += m.counter;
-    else if (n == "ms_sim_pdes_riskfree_advances_total") riskfree += m.counter;
-    else if (n == "ms_sim_pdes_rollbacks_total") rollbacks += m.counter;
-    else continue;
-    any = true;
-  }
-  if (!any) return;
-  std::printf("# pdes: %llu windows, %llu micro-steps, %llu cross-LP posts\n",
-              static_cast<unsigned long long>(windows),
-              static_cast<unsigned long long>(microsteps),
-              static_cast<unsigned long long>(posts));
-  std::printf("# pdes speculative: %llu spec windows, %llu risk-free advances, "
-              "%llu rollbacks, %llu replay steps\n",
-              static_cast<unsigned long long>(spec),
-              static_cast<unsigned long long>(riskfree),
-              static_cast<unsigned long long>(rollbacks),
-              static_cast<unsigned long long>(replays));
-}
-
 /// `stats {app|hbench} <name>`: run the workload with telemetry on and dump
 /// the snapshot to stdout in Prometheus text form (or to --metrics FILE in
 /// its chosen format — main() handles that path).
@@ -708,7 +679,6 @@ int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
     return 2;
   }
   if (rc != 0) return rc;
-  print_pdes_summary();
   if (cli.metrics_path.empty()) {
     ms::telemetry::write_snapshot(std::cout, /*prometheus=*/true);
   }
