@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -75,30 +76,42 @@ MetricsSink& metrics_sink() {
   return sink;
 }
 
+/// Malformed command line: say why, print usage and exit without running
+/// the figure.
+[[noreturn]] void usage_exit(const char* prog, const char* why, const char* arg) {
+  std::cerr << prog << ": " << why << " '" << arg << "'\n"
+            << "usage: " << prog
+            << " [--quick] [--csv DIR] [--json FILE] [--metrics FILE] [--serve-obs ADDR]\n";
+  std::exit(2);
+}
+
 }  // namespace
 
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--quick") == 0) {
       opt.quick = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      opt.csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opt.json_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      opt.metrics_file = argv[++i];
-      telemetry::set_enabled(true);
-      metrics_sink().path = opt.metrics_file;
-    } else if (std::strcmp(argv[i], "--serve-obs") == 0 && i + 1 < argc) {
-      opt.obs_addr = argv[++i];
-      telemetry::set_enabled(true);
-      if (telemetry::ObsServer* obs = telemetry::ensure_obs_server(opt.obs_addr)) {
-        std::cout << "obs: serving http://" << obs->address() << "\n" << std::flush;
-      }
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--quick] [--csv DIR] [--json FILE] [--metrics FILE] [--serve-obs ADDR]\n";
+      continue;
+    }
+    std::string* dest = std::strcmp(flag, "--csv") == 0         ? &opt.csv_dir
+                        : std::strcmp(flag, "--json") == 0      ? &opt.json_file
+                        : std::strcmp(flag, "--metrics") == 0   ? &opt.metrics_file
+                        : std::strcmp(flag, "--serve-obs") == 0 ? &opt.obs_addr
+                                                                : nullptr;
+    if (dest == nullptr) usage_exit(argv[0], "unknown argument", flag);
+    if (i + 1 >= argc) usage_exit(argv[0], "missing value for", flag);
+    *dest = argv[++i];
+  }
+  if (!opt.metrics_file.empty()) {
+    telemetry::set_enabled(true);
+    metrics_sink().path = opt.metrics_file;
+  }
+  if (!opt.obs_addr.empty()) {
+    telemetry::set_enabled(true);
+    if (telemetry::ObsServer* obs = telemetry::ensure_obs_server(opt.obs_addr)) {
+      std::cout << "obs: serving http://" << obs->address() << "\n" << std::flush;
     }
   }
   return opt;

@@ -24,7 +24,7 @@ SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "==> tier-1 build + ctest"
 cmake -S "${SOURCE_DIR}" -B "${PREFIX}" -DCMAKE_BUILD_TYPE=Release
-cmake --build "${PREFIX}" -j
+cmake --build "${PREFIX}" -j "$(nproc)"
 ctest --test-dir "${PREFIX}" --output-on-failure -j "$(nproc)"
 
 echo "==> observability endpoint smoke (--serve-obs)"
@@ -32,7 +32,7 @@ echo "==> observability endpoint smoke (--serve-obs)"
 
 echo "==> telemetry compiled out (MS_TELEMETRY=OFF)"
 cmake -S "${SOURCE_DIR}" -B "${PREFIX}-notel" -DCMAKE_BUILD_TYPE=Release -DMS_TELEMETRY=OFF
-cmake --build "${PREFIX}-notel" -j
+cmake --build "${PREFIX}-notel" -j "$(nproc)"
 ctest --test-dir "${PREFIX}-notel" --output-on-failure -j "$(nproc)"
 
 for san in thread address undefined; do

@@ -64,7 +64,7 @@ for pair in "bench_simcore:BENCH_SIMCORE.json" "bench_graph:BENCH_GRAPH.json" \
     continue
   fi
   if [[ ! -x "${BUILD_DIR}/bench/${bin}" ]]; then
-    cmake --build "${BUILD_DIR}" -j --target "${bin}"
+    cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${bin}"
   fi
   fresh="$(mktemp)"
   echo "bench-regress: ${bin} (3 repetitions, medians vs ${baseline##*/})"

@@ -13,7 +13,7 @@ SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DMS_NATIVE=ON
-cmake --build "${BUILD_DIR}" -j --target test_kern bench_kernels
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_kern bench_kernels
 
 "${BUILD_DIR}/tests/test_kern"
 "${BUILD_DIR}/bench/bench_kernels" --benchmark_list_tests > /dev/null

@@ -14,7 +14,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 CLI="${BUILD_DIR}/tools/mstream_cli"
 if [[ ! -x "${CLI}" ]]; then
-  cmake --build "${BUILD_DIR}" -j --target mstream_cli
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target mstream_cli
 fi
 
 log="$(mktemp)"

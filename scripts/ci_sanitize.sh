@@ -27,7 +27,7 @@ TARGETS=(test_sim test_rt test_kern test_model test_trace test_telemetry test_an
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMS_SANITIZE="${SANITIZER}"
-cmake --build "${BUILD_DIR}" -j --target "${TARGETS[@]}"
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # Fail on any sanitizer report even when the test itself would pass.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"

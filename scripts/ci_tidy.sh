@@ -33,6 +33,6 @@ if command -v clang-tidy >/dev/null 2>&1; then
   echo "ci_tidy: clang-tidy OK"
 else
   echo "ci_tidy: clang-tidy not found; falling back to strict -Werror build" >&2
-  cmake --build "${BUILD_DIR}" -j
+  cmake --build "${BUILD_DIR}" -j "$(nproc)"
   echo "ci_tidy: strict-warning build OK (install clang-tidy for the full check set)"
 fi

@@ -22,7 +22,7 @@ SIMCORE_OUT="${5:-${SOURCE_DIR}/BENCH_SIMCORE.json}"
 if [[ ! -x "${BUILD_DIR}/bench/bench_kernels" || ! -x "${BUILD_DIR}/bench/bench_telemetry" ||
       ! -x "${BUILD_DIR}/bench/bench_graph" || ! -x "${BUILD_DIR}/bench/bench_simcore" ]]; then
   cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${BUILD_DIR}" -j --target bench_kernels bench_telemetry bench_graph bench_simcore
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_kernels bench_telemetry bench_graph bench_simcore
 fi
 
 "${BUILD_DIR}/bench/bench_kernels" \

@@ -153,6 +153,8 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
     for (int it = 0; it < sc.iterations; ++it) {
       // --- statistics: per-tile partial sums, small D2H, host reduce -------
       stats_phase.run([&] {
+      std::vector<rt::Event> deps;
+      deps.reserve(1);
       for (std::size_t t = 0; t < tiles.size(); ++t) {
         const rt::Tile2D tile = tiles[t];
         rt::Stream& s = ctx.stream(static_cast<int>(t) % streams);
@@ -177,8 +179,9 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
         }
         // The cross-phase dep on the previous update (or extract) kernel is
         // same-stream in graph modes: FIFO order already provides it.
-        s.enqueue_kernel(std::move(launch),
-                         graphed ? std::vector<rt::Event>{} : std::vector<rt::Event>{update_ev[t]});
+        deps.clear();
+        if (!graphed) deps.push_back(update_ev[t]);
+        s.enqueue_kernel(std::move(launch), deps);
         s.enqueue_d2h(bpart, t * 2 * sizeof(double), 2 * sizeof(double));
       }
       });
@@ -209,6 +212,7 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
         // The per-launch scratch: the four derivative planes for this tile.
         work.temp_alloc_bytes = 4.0 * static_cast<double>(tile.elems() * sizeof(float));
         rt::KernelLaunch launch{"srad-coeff", work, {}, {}};
+        launch.accesses.reserve(8);  // up to three halo reads, five outputs
         declare_cross_reads(launch, bj, tile, rows, cols, sizeof(float));
         launch.writes(bc, tile_range(tile, cols, sizeof(float)));
         launch.writes(bdn, tile_range(tile, cols, sizeof(float)));
@@ -232,11 +236,13 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
       // Reads the coefficient of self/south/east; writes J, whose halo the
       // coeff kernels of all four neighbours read. Depending on every
       // neighbour's coeff kernel covers both hazards.
+      std::vector<rt::Event> deps;
+      deps.reserve(5);
       for (std::size_t t = 0; t < tiles.size(); ++t) {
         const rt::Tile2D tile = tiles[t];
         const std::size_t tr = t / tiles_per_row;
         const std::size_t tc = t % tiles_per_row;
-        std::vector<rt::Event> deps{coeff_ev[t]};
+        deps.assign(1, coeff_ev[t]);
         if (tr > 0) deps.push_back(coeff_ev[tile_index(tr - 1, tc)]);
         if (tc > 0) deps.push_back(coeff_ev[tile_index(tr, tc - 1)]);
         if (tr + 1 < tile_rows_count) deps.push_back(coeff_ev[tile_index(tr + 1, tc)]);
@@ -247,6 +253,7 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
         work.elems = kern::srad_elems(tile.rows(), tile.cols());
         work.flops = kern::srad_update_flops(tile.rows(), tile.cols());
         rt::KernelLaunch launch{"srad-update", work, {}, {}};
+        launch.accesses.reserve(8);  // coefficient and its two halos, four planes, J
         launch.reads(bc, tile_range(tile, cols, sizeof(float)));
         if (tile.row_end < rows) {
           launch.reads(bc, rt::MemRange::tile(tile.row_end, tile.row_end + 1, tile.col_begin,

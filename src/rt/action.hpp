@@ -83,7 +83,7 @@ struct Action {
   bool pooled = true;
   /// Completion state, shared with user-held Events. Null for actions issued
   /// by a compiled graph, whose intra-graph dependents are notified through
-  /// `graph_run` instead of per-state waiter lists.
+  /// `graph_run` instead of per-state wait lists.
   std::shared_ptr<ActionState> state;
 
   // Compiled-graph hook ----------------------------------------------------

@@ -468,8 +468,7 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
   }
   // The batch's completion event hangs off the final instance's barrier.
   detail::Action& last = run.slab[run.target - 1];
-  last.state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(ctx.state_pool_));
+  last.state = ctx.make_state();
   return Event{last.state};
 }
 

@@ -358,8 +358,7 @@ std::vector<std::size_t> Context::capture_deps(const std::vector<Event>& deps) c
 }
 
 Event Context::capture_phantom(std::size_t node) {
-  auto state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(state_pool_));
+  auto state = make_state();
   state->capture_node = static_cast<std::uint64_t>(node) + 1;
   state->capture_owner = capture_;
   return Event{std::move(state)};
@@ -390,8 +389,7 @@ detail::Action* Context::acquire_action() {
   // Control block + state live in one pool node; the pool store is kept
   // alive by the allocator copy inside the control block, so states held
   // by user Events may safely outlive this Context.
-  a->state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(state_pool_));
+  a->state = make_state();
   return a;
 }
 

@@ -252,15 +252,23 @@ private:
   // --- Action / state pools ---------------------------------------------------
   //
   // Streams acquire Actions here per enqueue and release them on completion.
-  // Both Actions and their ActionStates live in fixed-node pools with
-  // intrusive free lists (and depot-recycled chunk storage), so steady-state
-  // scheduling performs no heap allocation and a destroyed Context leaves
-  // its pages parked for the next one instead of faulting them back in.
+  // Actions, their ActionStates and the wait edges between them live in
+  // fixed-node pools with intrusive free lists (and depot-recycled chunk
+  // storage), so steady-state scheduling performs no heap allocation and a
+  // destroyed Context leaves its pages parked for the next one instead of
+  // faulting them back in.
 
-  /// Node class sized for a placement-new'd Action (rounded to preserve
-  /// max alignment between consecutive nodes).
-  using ActionPool = detail::NodePool<(sizeof(detail::Action) + alignof(std::max_align_t) - 1) /
-                                      alignof(std::max_align_t) * alignof(std::max_align_t)>;
+  /// Node classes sized for a placement-new'd Action and for one wait edge
+  /// (rounded to preserve max alignment between consecutive nodes).
+  using ActionPool = detail::NodePool<detail::kNodeBytesFor<detail::Action>>;
+  using EdgePool = detail::NodePool<detail::kNodeBytesFor<detail::WaitEdge>>;
+
+  /// Completion state in one StatePool node, control block included. Every
+  /// state is made here, so PoolAlloc's compile-time fit check covers them all.
+  [[nodiscard]] std::shared_ptr<detail::ActionState> make_state() {
+    return std::allocate_shared<detail::ActionState>(
+        detail::PoolAlloc<detail::ActionState>(state_pool_));
+  }
 
   [[nodiscard]] detail::Action* acquire_action();
   /// Action without a completion state: compiled-graph nodes notify their
@@ -299,6 +307,9 @@ private:
   std::unordered_map<std::uint64_t, BufferRec> buffers_;
   std::uint64_t next_buffer_ = 1;
   ActionPool::Store action_store_;
+  /// Cross-stream wait edges of pending dependencies: acquired at enqueue,
+  /// recycled by the completing stream as they fire.
+  EdgePool::Store edge_store_;
   TelTally tel_;
   std::shared_ptr<detail::StatePool::Store> state_pool_ = detail::StatePool::make_store();
   /// Present only when analyzing (ContextConfig::analyze / MS_ANALYZE=1 /

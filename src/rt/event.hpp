@@ -3,23 +3,34 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
 
-#include "sim/inline_function.hpp"
 #include "sim/sim_time.hpp"
 
 namespace ms::rt {
 
+class Stream;
+
 namespace detail {
+
+struct Action;
+
+/// One pending cross-stream dependency: `action` (queued on `stream`) waits
+/// for the completion of the state whose list holds this edge. The only kind
+/// of waiter the runtime has, so it is plain data instead of a closure. Edges
+/// live in the dependent stream's Context edge pool and are recycled there as
+/// soon as they fire.
+struct WaitEdge {
+  WaitEdge* next;
+  Stream* stream;
+  Action* action;
+};
 
 /// Shared completion state of one enqueued action. Instances live in the
 /// owning Context's state node pool (control block and all), so
-/// steady-state enqueue/complete cycles allocate nothing. Waiters are
-/// inline callables — registering a dependency never heap-allocates the
-/// closure itself (only the waiter vector's storage).
+/// steady-state enqueue/complete cycles allocate nothing. Pending dependents
+/// hang off it as an intrusive FIFO of pooled WaitEdges, fired (in
+/// registration order) by the completing stream.
 struct ActionState {
-  using Waiter = sim::InlineFunction<48>;
-
   bool done = false;
   sim::SimTime end = sim::SimTime::zero();
   /// Node id assigned by the hazard analyzer's recorder (0 = not recorded).
@@ -35,17 +46,32 @@ struct ActionState {
   /// phantom handed to a *different* capture must be rejected rather than
   /// silently aliasing that graph's node of the same index.
   const void* capture_owner = nullptr;
-  std::vector<Waiter> waiters;
-  void complete(sim::SimTime t) {
-    done = true;
-    end = t;
-    if (waiters.empty()) return;  // the overwhelmingly common case
-    // Detach first: a waiter may enqueue work that waits on this same state.
-    auto fire = std::move(waiters);
-    waiters.clear();
-    for (auto& w : fire) w();
+  /// Pending dependents, oldest first. Never owned: the edges belong to
+  /// their Context's pool, and a state that never completes (its Context
+  /// was dropped mid-flight) simply never walks them.
+  WaitEdge* waits_head = nullptr;
+  WaitEdge* waits_tail = nullptr;
+
+  void add_wait(WaitEdge* e) noexcept {
+    e->next = nullptr;
+    if (waits_tail != nullptr) {
+      waits_tail->next = e;
+    } else {
+      waits_head = e;
+    }
+    waits_tail = e;
   }
 
+  /// Mark complete and detach the wait list; the caller fires and recycles
+  /// it. Detaching first matters: once `done` is set, later enqueues read
+  /// the end time instead of appending to this list.
+  [[nodiscard]] WaitEdge* complete(sim::SimTime t) noexcept {
+    done = true;
+    end = t;
+    WaitEdge* head = waits_head;
+    waits_head = waits_tail = nullptr;
+    return head;
+  }
 };
 
 }  // namespace detail

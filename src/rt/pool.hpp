@@ -86,14 +86,21 @@ private:
   }
 };
 
-/// Node class backing `std::allocate_shared<ActionState>`: state + control
-/// block + allocator copy fit comfortably in one node.
-using StatePool = NodePool<128>;
+/// Node size that holds one T and keeps consecutive nodes max-aligned.
+template <typename T>
+inline constexpr std::size_t kNodeBytesFor =
+    (sizeof(T) + alignof(std::max_align_t) - 1) / alignof(std::max_align_t) *
+    alignof(std::max_align_t);
 
-/// Minimal allocator over a shared StatePool store. Allocations that do not
-/// fit a node (rebinds to oversized types, n > 1 array forms) fall through
-/// to the global heap — decided at compile time from sizeof(T), so the hot
-/// single-node path has no branches beyond the free-list check.
+/// Node class backing `std::allocate_shared<ActionState>`: the smallest node
+/// that holds the state, the control block header and the allocator copy.
+/// PoolAlloc::allocate rejects at compile time a control block that
+/// outgrows it.
+using StatePool = NodePool<96>;
+
+/// Minimal allocator over a shared StatePool store, for
+/// `std::allocate_shared<ActionState>` only: the one type it is rebound to
+/// is the library's control block, which must fit a StatePool node.
 template <typename T>
 class PoolAlloc {
 public:
@@ -106,25 +113,21 @@ public:
   PoolAlloc(const PoolAlloc<U>& other) noexcept : store_(other.store()) {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    if constexpr (!fits()) {
-      return static_cast<T*>(::operator new(n * sizeof(T)));
-    } else {
-      if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-      return static_cast<T*>(StatePool::allocate(*store_));
-    }
+    // Instantiated at each allocate_shared site with the control block type.
+    // A field that pushes it past the node must fail the build, not fall
+    // back to one heap allocation per action.
+    static_assert(sizeof(T) <= StatePool::kNodeBytes && alignof(T) <= alignof(std::max_align_t),
+                  "allocate_shared control block no longer fits a StatePool node");
+    if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
+    return static_cast<T*>(StatePool::allocate(*store_));
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
-    if constexpr (!fits()) {
+    if (n != 1) {
       ::operator delete(p);
-      (void)n;
-    } else {
-      if (n != 1) {
-        ::operator delete(p);
-        return;
-      }
-      StatePool::deallocate(*store_, p);
+      return;
     }
+    StatePool::deallocate(*store_, p);
   }
 
   [[nodiscard]] const std::shared_ptr<StatePool::Store>& store() const noexcept { return store_; }
@@ -134,10 +137,6 @@ public:
   }
 
 private:
-  static constexpr bool fits() noexcept {
-    return sizeof(T) <= StatePool::kNodeBytes && alignof(T) <= alignof(std::max_align_t);
-  }
-
   std::shared_ptr<StatePool::Store> store_;
 };
 

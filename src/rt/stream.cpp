@@ -1,6 +1,7 @@
 #include "rt/stream.hpp"
 
 #include <cstring>
+#include <new>
 #include <utility>
 
 #include "analyze/recorder.hpp"
@@ -108,22 +109,17 @@ Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
   a->ready_floor = ctx_->host_issue();
 
   // Wire cross-stream dependencies. Completed deps only raise the ready
-  // floor; pending ones register a waiter that re-arms this action.
+  // floor; pending ones append a wait edge that re-arms this action. The
+  // dep's state is kept alive by its still-pending Action, which fires the
+  // edge from on_complete.
   for (const Event& e : deps) {
     if (!e.valid() || e.done()) {
       a->ready_floor = sim::max(a->ready_floor, e.time());
       continue;
     }
     ++a->deps_pending;
-    // The dep's state is kept alive by its still-pending Action (and is only
-    // recycled after complete() has fired every waiter), so a raw pointer is
-    // safe and skips two refcount round-trips per dependency.
-    detail::ActionState* dep = e.state_.get();
-    Stream* self = this;
-    dep->waiters.push_back(detail::ActionState::Waiter([self, a, dep] {
-      a->ready_floor = sim::max(a->ready_floor, dep->end);
-      if (--a->deps_pending == 0) self->maybe_arm(a);
-    }));
+    void* node = Context::EdgePool::allocate(ctx_->edge_store_);
+    e.state_->add_wait(new (node) detail::WaitEdge{nullptr, this, a});
   }
 
   queue_.push_back(a);
@@ -321,8 +317,19 @@ void Stream::on_complete(Action* a) {
   const sim::SimTime now = engine_->now();
   // Same notification order as the interpreted path: external waiters (the
   // state's, when one exists) fire before graph dependents, and both before
-  // the stream's next action arms.
-  if (a->state) a->state->complete(now);
+  // the stream's next action arms. Wait edges fire in registration order and
+  // go back to their pool before their action arms.
+  if (a->state) {
+    for (detail::WaitEdge* e = a->state->complete(now); e != nullptr;) {
+      detail::WaitEdge* next = e->next;
+      Stream* s = e->stream;
+      Action* w = e->action;
+      Context::EdgePool::deallocate(s->ctx_->edge_store_, e);
+      w->ready_floor = sim::max(w->ready_floor, now);
+      if (--w->deps_pending == 0) s->maybe_arm(w);
+      e = next;
+    }
+  }
   if (a->graph_run != nullptr) detail::compiled_graph_notify(a->graph_run, a->graph_node, now);
 
   if (!queue_.empty()) {

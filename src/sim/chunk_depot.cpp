@@ -71,7 +71,7 @@ std::unique_ptr<std::byte[]> ChunkDepot::acquire(std::size_t bytes) {
     return chunk;
   }
   tel_misses().add(1);
-  return std::make_unique<std::byte[]>(bytes);
+  return std::make_unique_for_overwrite<std::byte[]>(bytes);
 }
 
 void ChunkDepot::release(std::unique_ptr<std::byte[]> chunk, std::size_t bytes) noexcept {

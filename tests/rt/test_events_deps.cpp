@@ -151,5 +151,45 @@ TEST(Events, EventTimeMatchesSpanEnd) {
   EXPECT_EQ(e.time(), ctx.timeline().spans()[0].end);
 }
 
+TEST(Events, WaitersOnOneEventArmInRegistrationOrder) {
+  // Three uploads on three streams wait on one kernel and contend for the
+  // same PCIe direction, so the link serves them in the order they arm. They
+  // register as streams 3, 1, 2 — deliberately not stream order — and must
+  // finish in exactly that order.
+  Context ctx(cfg());
+  ctx.setup(4);
+  const auto buf = ctx.create_virtual_buffer(3 << 16);
+  const Event gate = ctx.stream(0).enqueue_kernel({"gate", work(1e7), {}});
+  const Event up3 = ctx.stream(3).enqueue_h2d(buf, 0, 1 << 16, {gate});
+  const Event up1 = ctx.stream(1).enqueue_h2d(buf, 1 << 16, 1 << 16, {gate});
+  const Event up2 = ctx.stream(2).enqueue_h2d(buf, 2 << 16, 1 << 16, {gate});
+  ctx.synchronize();
+  EXPECT_LT(gate.time(), up3.time());
+  EXPECT_LT(up3.time(), up1.time());
+  EXPECT_LT(up1.time(), up2.time());
+}
+
+TEST(Events, PendingDependentsMayOutliveTheirContext) {
+  // A context dropped mid-flight leaves user-held events whose states still
+  // list wait edges from its (now released) edge pool. The events must stay
+  // readable and be destroyed cleanly; the sanitizer legs check the memory.
+  Event head;
+  Event tail;
+  {
+    Context ctx(cfg());
+    ctx.setup(3);
+    head = ctx.stream(0).enqueue_kernel({"head", work(1e7), {}});
+    const Event mid = ctx.stream(1).enqueue_kernel({"mid", work(), {}}, {head});
+    tail = ctx.stream(2).enqueue_kernel({"tail", work(), {}}, {head, mid});
+  }
+  EXPECT_TRUE(head.valid());
+  EXPECT_FALSE(head.done());
+  EXPECT_FALSE(tail.done());
+  // Drop the last references: the states go back to their pool store, which
+  // the events kept alive past the context.
+  head = Event{};
+  tail = Event{};
+}
+
 }  // namespace
 }  // namespace ms::rt
