@@ -5,9 +5,9 @@
 // pipeline at growing task counts separates the two contributions.
 //
 // Part two is the compiled-executor A/B: real *wall-clock* host cost per
-// replay for the interpreted Graph::launch() vs CompiledGraph::launch() vs
-// launch_batch(), interleaved and reported as medians, with the virtual-time
-// bit-identity of the three paths verified on the spot.
+// replay for separate CompiledGraph::launch() calls vs one launch_batch(),
+// interleaved and reported as medians, with the virtual-time bit-identity of
+// the two paths verified on the spot.
 
 #include <algorithm>
 #include <chrono>
@@ -111,9 +111,10 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Verify the three issue paths charge bit-identical virtual time (one fresh
-/// context per path, so the comparison starts from the same absolute clock).
-/// Exits non-zero on a mismatch — this is the correctness half of the A/B.
+/// Verify separate and batched replays charge bit-identical virtual time (one
+/// fresh context per path, so the comparison starts from the same absolute
+/// clock). Exits non-zero on a mismatch — this is the correctness half of the
+/// A/B.
 void verify_bit_identity(const ms::sim::SimConfig& cfg, int tiles) {
   const auto run = [&](auto&& issue) {
     Rig r(cfg, tiles);
@@ -122,17 +123,14 @@ void verify_bit_identity(const ms::sim::SimConfig& cfg, int tiles) {
     r.ctx.synchronize();
     return (r.ctx.host_time() - t0).micros();
   };
-  const double interp = run([](Rig& r) { r.graph.launch(r.ctx); });
-  const double compiled = run([](Rig& r) { r.graph.compile(r.ctx).launch(r.ctx); });
   const double separate = run([](Rig& r) {
     auto cg = r.graph.compile(r.ctx);
     for (int i = 0; i < kBatch; ++i) cg.launch(r.ctx);
   });
   const double batched = run([](Rig& r) { r.graph.compile(r.ctx).launch_batch(r.ctx, kBatch); });
-  if (interp != compiled || separate != batched) {
-    std::cerr << "BIT-IDENTITY FAILURE at T=" << tiles << ": interpreted " << interp
-              << " us vs compiled " << compiled << " us; " << kBatch << " separate " << separate
-              << " us vs batched " << batched << " us\n";
+  if (separate != batched) {
+    std::cerr << "BIT-IDENTITY FAILURE at T=" << tiles << ": " << kBatch << " separate "
+              << separate << " us vs batched " << batched << " us\n";
     std::exit(1);
   }
 }
@@ -142,18 +140,15 @@ void compiled_ab(const ms::sim::SimConfig& cfg, int tiles, int reps, const ms::b
   Rig rig(cfg, tiles);
   auto cg = rig.graph.compile(rig.ctx);
 
-  // Warm both paths (interpreted launch state, compiled run pool + per-
-  // context validation cache) so steady-state replays are measured.
-  rig.graph.launch(rig.ctx);
+  // Warm both paths (run pool, batch arena, per-context validation cache)
+  // so steady-state replays are measured.
   cg.launch(rig.ctx);
   cg.launch_batch(rig.ctx, kBatch);
   rig.ctx.synchronize();
 
   // Interleaved samples: one of each path per round, medians across rounds.
-  std::vector<double> interp, compiled, separate, batched;
+  std::vector<double> compiled, separate, batched;
   for (int rep = 0; rep < reps; ++rep) {
-    interp.push_back(wall_us([&] { rig.graph.launch(rig.ctx); }));
-    rig.ctx.synchronize();
     compiled.push_back(wall_us([&] { cg.launch(rig.ctx); }));
     rig.ctx.synchronize();
     separate.push_back(wall_us([&] {
@@ -165,13 +160,12 @@ void compiled_ab(const ms::sim::SimConfig& cfg, int tiles, int reps, const ms::b
     rig.ctx.synchronize();
   }
 
-  const double mi = median(interp), mc = median(compiled);
+  const double mc = median(compiled);
   const double ms_ = median(separate), mb = median(batched);
-  Table t({"path", "host per replay [us]", "vs interpreted", "vs separate"});
-  t.add_row({"interpreted launch()", Table::num(mi), "1.00x", ""});
-  t.add_row({"compiled launch()", Table::num(mc), Table::num(mi / mc) + "x", ""});
-  t.add_row({"compiled launch() x" + std::to_string(kBatch), Table::num(ms_), "", "1.00x"});
-  t.add_row({"launch_batch(" + std::to_string(kBatch) + ")", Table::num(mb), "",
+  Table t({"path", "host per replay [us]", "vs separate"});
+  t.add_row({"compiled launch()", Table::num(mc), ""});
+  t.add_row({"compiled launch() x" + std::to_string(kBatch), Table::num(ms_), "1.00x"});
+  t.add_row({"launch_batch(" + std::to_string(kBatch) + ")", Table::num(mb),
              Table::num(ms_ / mb) + "x"});
   ms::bench::emit(t, "compiled_ab_T" + std::to_string(tiles),
                   "compiled executor A/B at T=" + std::to_string(tiles) + " (" +
@@ -180,7 +174,7 @@ void compiled_ab(const ms::sim::SimConfig& cfg, int tiles, int reps, const ms::b
                   opt);
 
   verify_bit_identity(cfg, tiles);
-  std::cout << "virtual-time bit-identity across interpreted/compiled/batched: OK\n";
+  std::cout << "virtual-time bit-identity across separate/batched replays: OK\n";
 }
 
 }  // namespace

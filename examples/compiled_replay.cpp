@@ -1,9 +1,9 @@
 // Compile-once / replay-millions: record a pipeline schedule as a graph,
-// compile it, and replay it three ways — interpreted launch(), compiled
-// launch(), and batched launch_batch() — timing the *host wall clock* each
-// path costs per replay. Virtual times are bit-identical across all three
-// (asserted at the end); the compiled executor only changes what the issuing
-// thread pays, which is the point of CUDA-Graphs-style batched launch.
+// compile it, and replay it two ways — separate launch() calls and one
+// batched launch_batch() — timing the *host wall clock* each path costs per
+// replay. Virtual times are bit-identical across both (asserted at the end);
+// batching only changes what the issuing thread pays, which is the point of
+// CUDA-Graphs-style batched launch.
 
 #include <chrono>
 #include <cstdio>
@@ -45,20 +45,9 @@ int main() {
         .count();
   };
 
-  // 1. Interpreted replay: the graph is re-walked on every launch.
-  rt::Context interp_ctx(cfg);
-  rt::Graph interp_graph;
-  make_ctx(interp_ctx, interp_graph);
-  // Warm with a full round so every path retires kReplays + kReplays replays
-  // (the bit-identity check at the end compares the three virtual clocks).
-  for (int i = 0; i < kReplays; ++i) interp_graph.launch(interp_ctx);
-  interp_ctx.synchronize();
-  const double interp_us = wall_us([&] {
-    for (int i = 0; i < kReplays; ++i) interp_graph.launch(interp_ctx);
-  });
-  interp_ctx.synchronize();
-
-  // 2. Compiled: validate + flatten once, then replay the plan.
+  // 1. Compiled: validate + flatten once, then replay the plan. Warm with a
+  // full round so both paths retire 2 * kReplays replays (the bit-identity
+  // check at the end compares the two virtual clocks).
   rt::Context comp_ctx(cfg);
   rt::Graph comp_graph;
   make_ctx(comp_ctx, comp_graph);
@@ -70,7 +59,7 @@ int main() {
   });
   comp_ctx.synchronize();
 
-  // 3. Batched: all replays issued in one call through the batch arena.
+  // 2. Batched: all replays issued in one call through the batch arena.
   rt::Context batch_ctx(cfg);
   rt::Graph batch_graph;
   make_ctx(batch_ctx, batch_graph);
@@ -83,21 +72,18 @@ int main() {
 
   std::printf("%d replays of a %zu-node schedule, host wall clock per replay:\n", kReplays,
               batched.node_count() + 1);
-  std::printf("  interpreted launch()   %8.2f us\n", interp_us / kReplays);
-  std::printf("  compiled launch()      %8.2f us   (%.1fx)\n", comp_us / kReplays,
-              interp_us / comp_us);
+  std::printf("  compiled launch()      %8.2f us\n", comp_us / kReplays);
   std::printf("  launch_batch(%d)       %8.2f us   (%.1fx)\n", kReplays, batch_us / kReplays,
-              interp_us / batch_us);
+              comp_us / batch_us);
   std::printf("virtual time of the timed batch: %.3f ms\n",
               (batch_ctx.host_time() - t_before).millis());
 
-  // The executor never changes the modelled cost: all three contexts ran
+  // Batching never changes the modelled cost: both contexts ran
   // 2 * kReplays replays, so their virtual clocks must agree to the last bit.
-  if (interp_ctx.host_time().micros() != comp_ctx.host_time().micros() ||
-      interp_ctx.host_time().micros() != batch_ctx.host_time().micros()) {
+  if (comp_ctx.host_time().micros() != batch_ctx.host_time().micros()) {
     std::printf("ERROR: virtual times diverged across replay paths\n");
     return 1;
   }
-  std::printf("virtual times bit-identical across the three paths: OK\n");
+  std::printf("virtual times bit-identical across both paths: OK\n");
   return 0;
 }

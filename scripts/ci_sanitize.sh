@@ -22,7 +22,7 @@ case "${SANITIZER}" in
 esac
 
 TARGETS=(test_sim test_rt test_kern test_model test_trace test_telemetry test_analyze test_apps
-         test_integration)
+         test_integration test_capi)
 
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -39,9 +39,11 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # the concurrent metric primitives and span rings under the race detector.
 # test_analyze: the hazard analyzer, including the abort path that must not
 # leak pooled actions (ASan's leak checker is the arbiter).
-# test_apps: the ported apps across Direct/Interpreted/Compiled graph modes,
-# including batched replay through the compiled-graph arena.
-# test_integration: paper claims end to end.
+# test_apps: the ported apps across the Direct and Compiled graph modes and
+# the analyzing-context graph walk, including batched replay through the
+# compiled-graph arena.
+# test_integration: paper claims end to end. test_capi: the C API's input
+# validation and graph record/replay over its global context.
 for t in "${TARGETS[@]}"; do
   "${BUILD_DIR}/tests/${t}"
 done

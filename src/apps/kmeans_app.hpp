@@ -19,9 +19,9 @@ struct KmeansConfig {
   std::size_t clusters = 8;  ///< paper: "the number of centroid is 8"
   int iterations = 100;      ///< paper: fixed 100 iterations
   int tiles = 4;             ///< T: point chunks (baseline forces 1)
-  // The per-iteration device schedule is replay-shaped; set
-  // common.graph (GraphMode::Interpreted / Compiled) to record it once and
-  // replay it each iteration instead of re-enqueueing every action.
+  // The per-iteration device schedule is replay-shaped; set common.graph =
+  // GraphMode::Compiled to record it once and replay it each iteration
+  // instead of re-enqueueing every action.
 };
 
 class KmeansApp {

@@ -126,8 +126,8 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
     plan->nodes.push_back(std::move(pn));
   }
 
-  // Appended completion barrier: joins every leaf, exactly as the
-  // interpreted launch() enqueues it last on the first node's stream.
+  // Appended completion barrier: joins every leaf, enqueued last on the first
+  // node's stream (walk() issues it the same way).
   {
     PlanNode bar;
     bar.kind = ActionKind::Barrier;
@@ -140,7 +140,7 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
 
   // Dependent lists in CSR form. Counting pass, prefix sums, fill pass —
   // dependents of one node end up ordered by dependent id, which matches the
-  // waiter registration order of the interpreted path.
+  // wait-edge registration order of walk().
   std::vector<std::uint32_t> counts(plan->nodes.size(), 0);
   for (const Graph::Node& src : g.nodes_) {
     for (const Graph::NodeId d : src.deps) ++counts[d];
@@ -484,9 +484,8 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
         exec_.streams[static_cast<std::size_t>((s + rotation) % span)];
   }
 
-  // Same pricing as the interpreted replay: one launch base charge, then one
-  // host-thread reservation per node (completion barrier included) in issue
-  // order.
+  // Same pricing as walk(): one launch base charge, then one host-thread
+  // reservation per node (completion barrier included) in issue order.
   ctx.host_cursor_ += exec_.base_cost;
   const sim::SimTime per_node = exec_.per_node_cost;
 
@@ -542,18 +541,53 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
   return out;
 }
 
+Event CompiledGraph::walk(Context& ctx) const {
+  const Graph& g = plan_->source;
+  // Replay pricing: one launch call plus a tiny per-node re-arm cost,
+  // instead of the full per-action enqueue overhead.
+  const Context::IssueCostGuard guard(ctx, exec_.per_node_cost, exec_.base_cost);
+  std::vector<Event> events;
+  events.reserve(g.nodes_.size());
+  std::vector<Event> deps;
+  for (const Graph::Node& n : g.nodes_) {
+    deps.clear();
+    for (const Graph::NodeId d : n.deps) deps.push_back(events[d]);
+    Stream& s = *exec_.streams[static_cast<std::size_t>(n.stream)];
+    switch (n.kind) {
+      case ActionKind::H2D:
+        events.push_back(s.enqueue_h2d(n.buffer, n.offset, n.bytes, deps));
+        break;
+      case ActionKind::D2H:
+        events.push_back(s.enqueue_d2h(n.buffer, n.offset, n.bytes, deps));
+        break;
+      case ActionKind::Kernel:
+        events.push_back(s.enqueue_kernel(n.launch, deps));  // copy: reused every replay
+        break;
+      case ActionKind::Barrier:
+        events.push_back(s.enqueue_barrier(deps));
+        break;
+    }
+  }
+  // Completion event: a barrier joining every leaf (nodes nothing depends
+  // on), the plan's appended last node.
+  deps.clear();
+  for (const Graph::NodeId i : g.leaves_) deps.push_back(events[i]);
+  return exec_.streams[static_cast<std::size_t>(g.nodes_.front().stream)]->enqueue_barrier(deps);
+}
+
 Event CompiledGraph::launch(Context& ctx) {
   if (ctx.capturing()) {
     throw Error("CompiledGraph::launch: forbidden while the context is capturing");
   }
+  validate_for(ctx);
   if (ctx.analyzing()) {
-    // Hazard-recording contexts take the interpreted path so the analyzer
-    // sees every action; virtual-time charges are identical by construction.
+    // Hazard-recording contexts take the walk so the analyzer sees every
+    // action; virtual-time charges are identical by construction.
+    Event done = walk(ctx);
     ++replays_;
-    return plan_->source.launch(ctx);
+    return done;
   }
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
-  validate_for(ctx);
   const std::uint64_t rid = telemetry::next_replay_id();
   Event ev = issue_instance(ctx, /*rotation=*/0, /*want_event=*/true, rid);
   ++replays_;
@@ -575,18 +609,18 @@ Event CompiledGraph::launch_batch(Context& ctx, int instances, int stream_rotati
   if (ctx.capturing()) {
     throw Error("CompiledGraph::launch_batch: forbidden while the context is capturing");
   }
+  validate_for(ctx);
   if (ctx.analyzing()) {
     if (stream_rotation != 0) {
       throw Error("CompiledGraph::launch_batch: stream rotation is unavailable on "
                   "analyzing contexts");
     }
     Event last;
-    for (int k = 0; k < instances; ++k) last = plan_->source.launch(ctx);
+    for (int k = 0; k < instances; ++k) last = walk(ctx);
     replays_ += static_cast<std::uint64_t>(instances);
     return last;
   }
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
-  validate_for(ctx);
   const int span = plan_->stream_count;
   const int rot_step = ((stream_rotation % span) + span) % span;
   if (rot_step != 0) check_rotation(ctx);
@@ -646,8 +680,8 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
     base = node - local;
   }
   const PlanNode& pn = plan.nodes[local];
-  // Dependents are stored in increasing node id — the same order the
-  // interpreted path registers (and its states fire) waiters.
+  // Dependents are stored in increasing node id — the same order walk()
+  // registers (and its states fire) wait edges.
   for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
     const std::uint32_t d = plan.dependents[idx];
     detail::Action* a = run->actions[base + d];

@@ -69,10 +69,13 @@ struct CompileOptions {
 /// steady-state heap allocations and no per-node Event or waiter machinery:
 /// intra-graph dependencies are resolved through the plan itself.
 ///
-/// Virtual-time semantics are bit-identical to the interpreted
-/// `Graph::launch()` (same per-node replay charges in the same order, same
-/// arming order, same completion barrier); the difference is real host
-/// wall-clock per replay, which the ablation bench measures.
+/// On an analyzing context (ContextConfig::analyze, MS_ANALYZE=1, or an
+/// installed analyze::Capture) launches walk the source graph node by node
+/// through the streams' regular enqueue path instead, so the hazard recorder
+/// sees every action. The walk charges the same per-node replay costs in the
+/// same order, arms in the same order and ends with the same completion
+/// barrier, so virtual times are bit-identical to the plan replay; it is the
+/// reference the determinism tests compare against.
 ///
 /// Compatibility: a compiled graph can launch on any context whose SimConfig
 /// fingerprint matches the compile-time one and whose layout satisfies the
@@ -108,9 +111,10 @@ public:
   }
   ~CompiledGraph() { orphan_runs(); }
 
-  /// Replay the whole recorded schedule once. Charges exactly what the
-  /// interpreted launch would (graph_launch_base + per-node replay cost) and
+  /// Replay the whole recorded schedule once. Charges graph_launch_base plus
+  /// one per-node replay cost per node (completion barrier included) and
   /// returns the completion event of the appended leaf-joining barrier.
+  /// Validates the plan against `ctx` before issuing anything.
   Event launch(Context& ctx);
 
   /// Issue `instances` back-to-back replays in one scheduling pass.
@@ -170,7 +174,7 @@ private:
     std::vector<PlanNode> nodes;
     std::vector<std::uint32_t> dependents;          ///< CSR payload
     std::vector<std::function<void()>> kernel_fns;  ///< reused every replay
-    Graph source;  ///< interpreted fallback for analyzing contexts
+    Graph source;  ///< walked node by node on analyzing contexts
     // Telemetry, resolved once at compile time (labeled-family children):
     telemetry::Counter* replays_metric = nullptr;
     telemetry::Histogram* launch_ns_metric = nullptr;
@@ -245,6 +249,9 @@ private:
   Run* acquire_arena(Context& ctx, int instances);
   void build_arena(Run& run, Context& ctx);
   Event issue_batch(Context& ctx, Run& run);
+  /// The analyzing-context path: issue every source node through the
+  /// streams' enqueue calls at replay prices (validate_for first).
+  Event walk(Context& ctx) const;
   static void notify(void* run, std::uint32_t node, sim::SimTime now);
   /// Flatten the graph into an analyzer record against `ctx`'s layout:
   /// devices resolved through the stream table, kernel durations stamped from

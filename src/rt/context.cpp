@@ -1,5 +1,6 @@
 #include "rt/context.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -77,6 +78,13 @@ telemetry::Histogram& tel_sync_ns() {
       "ms_rt_sync_wall_ns", "Wall-clock nanoseconds spent inside Context::synchronize");
   return h;
 }
+/// Layout epochs are drawn from one process-wide sequence, so (context
+/// address, epoch) never repeats: a context built where a destroyed one lived
+/// cannot match a compiled graph's validation cached for its predecessor.
+std::uint64_t next_layout_epoch() noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 }  // namespace
 
 Context::Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg)
@@ -119,7 +127,7 @@ void Context::setup(int partitions_per_device) {
   if (partitions_per_device < 1) {
     throw Error("Context::setup: need at least one partition");
   }
-  ++layout_epoch_;
+  layout_epoch_ = next_layout_epoch();
   // All streams idle = every recorded action completed before anything that
   // will be enqueued on the new layout: a segment boundary. The new partition
   // count is stamped after the flush — it applies to the next segment.
@@ -167,7 +175,7 @@ Stream& Context::add_stream(int device, int partition) {
   if (device < 0 || device >= device_count() || partition < 0 || partition >= partitions_) {
     throw Error("Context::add_stream: (device, partition) out of range");
   }
-  ++layout_epoch_;
+  layout_epoch_ = next_layout_epoch();
   const int index = stream_count();
   streams_.push_back(std::unique_ptr<Stream>(new Stream(*this, index, device, partition)));
   host_cursor_ += platform_->config().overhead.context_setup_per_partition;
@@ -248,7 +256,7 @@ void Context::destroy_buffer(BufferId id) {
     throw Error("Context::destroy_buffer: forbidden while capturing a graph");
   }
   require_all_idle("Context::destroy_buffer");
-  ++layout_epoch_;
+  layout_epoch_ = next_layout_epoch();
   auto it = buffers_.find(id.value);
   if (it == buffers_.end()) {
     throw Error("Context::destroy_buffer: unknown buffer");

@@ -161,8 +161,8 @@ public:
   /// Begin recording enqueues into `g` (CUDA stream-capture style): until
   /// end_capture(), every Stream::enqueue_* on this context appends a graph
   /// node instead of issuing work, charges no host time, and returns a
-  /// *phantom* event usable only as a dependency of later captured enqueues.
-  /// Dependencies on already-completed real events are dropped (a replayable
+  /// *phantom* event usable only as a dependency of later captured enqueues
+  /// (a direct enqueue that names one throws rt::Error). Dependencies on already-completed real events are dropped (a replayable
   /// graph cannot bake in absolute times); depending on still-pending
   /// non-captured work throws, as do synchronize()/wait()/setup() while
   /// capturing. The same graph can then be launch()ed or compile()d.
@@ -179,8 +179,9 @@ public:
 
   // --- Introspection -----------------------------------------------------------
 
-  /// Scoped override of the per-action host issue cost — how rt::Graph
-  /// prices replays. Restores the previous cost on destruction.
+  /// Scoped override of the per-action host issue cost — how a compiled
+  /// graph's walk on an analyzing context prices its enqueues at replay
+  /// cost. Restores the previous cost on destruction.
   class IssueCostGuard {
   public:
     IssueCostGuard(Context& ctx, sim::SimTime per_action, sim::SimTime base)
@@ -216,9 +217,11 @@ public:
   [[nodiscard]] trace::Timeline& timeline() noexcept { return timeline_; }
   [[nodiscard]] const trace::Timeline& timeline() const noexcept { return timeline_; }
 
-  /// Bumped whenever the stream/buffer layout changes (setup, add_stream,
-  /// destroy_buffer). Compiled graphs cache their per-context validation
-  /// against this, so replays on an unchanged layout skip revalidation.
+  /// Renewed whenever the stream/buffer layout changes (setup, add_stream,
+  /// destroy_buffer) from a process-wide sequence, so no two layouts of any
+  /// two contexts share a value. Compiled graphs cache their per-context
+  /// validation against this, so replays on an unchanged layout skip
+  /// revalidation.
   [[nodiscard]] std::uint64_t layout_epoch() const noexcept { return layout_epoch_; }
 
 private:

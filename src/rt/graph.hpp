@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,14 +24,16 @@ struct CompileOptions;
 ///
 /// Nodes reference streams by index and buffers by handle; dependencies are
 /// node-ids of *earlier* nodes (the graph is acyclic by construction).
-/// Launching validates against the target context, so one graph can be
-/// replayed on any context with compatible streams/buffers.
+/// Launching validates the whole DAG against the target context before it
+/// issues anything, so one graph can be replayed on any context with
+/// compatible streams/buffers.
 ///
-/// `launch()` interprets the node list on every call; `compile()` flattens
-/// it once into a rt::CompiledGraph whose replays skip per-launch
-/// validation, event allocation, and dependency re-resolution entirely.
-/// Graphs can be hand-built through the add_* calls or recorded from real
-/// enqueues with Context::begin_capture()/end_capture().
+/// There is one replay path: `launch()` compiles the graph into a
+/// rt::CompiledGraph on first use, caches it, and replays the plan. `compile()`
+/// hands out such an executor directly (for launch_batch, compile-time hazard
+/// or lint passes, or the GraphCache). Graphs can be hand-built through the
+/// add_* calls or recorded from real enqueues with
+/// Context::begin_capture()/end_capture().
 class Graph {
 public:
   using NodeId = std::size_t;
@@ -55,7 +58,11 @@ public:
 
   /// Issue every recorded node into `ctx` (charging the replay overheads
   /// instead of per-action enqueue costs) and return an event that
-  /// completes when every node has completed.
+  /// completes when every node has completed. Compiles on the first launch,
+  /// after any add_*, and when `ctx`'s SimConfig fingerprint differs from the
+  /// cached plan's; every other launch replays the cached plan without heap
+  /// allocation. Throws rt::Error, having issued nothing, when the graph does
+  /// not fit `ctx`.
   Event launch(Context& ctx) const;
 
   /// Validate and flatten the DAG against `ctx` once, returning an executor
@@ -84,15 +91,22 @@ private:
   std::vector<Node> nodes_;
   /// Maintained by add(): has_dependent_[i] is true once any later node
   /// depends on i, and leaves_ holds the current dependent-free node ids —
-  /// precomputed so launch() does not rediscover them on every replay.
+  /// precomputed so compiling does not rediscover them.
   std::vector<bool> has_dependent_;
   std::vector<NodeId> leaves_;
-  std::size_t max_deps_ = 0;  ///< widest dependency list, for scratch sizing
-  /// Replay scratch, reused across launch() calls (the graph is immutable
-  /// while launching, so the buffers only ever grow to the graph's size).
-  mutable std::vector<Event> events_scratch_;
-  mutable std::vector<Event> deps_scratch_;
-  mutable std::vector<Event> leaf_scratch_;
+
+  /// launch()'s compiled executor. A copy of the graph starts without one
+  /// (it compiles its own on first launch), and add() drops it.
+  struct Cache {
+    std::unique_ptr<CompiledGraph> graph;
+    Cache() noexcept;
+    Cache(const Cache&) noexcept;
+    Cache(Cache&&) noexcept;
+    Cache& operator=(const Cache&) noexcept;
+    Cache& operator=(Cache&&) noexcept;
+    ~Cache();
+  };
+  mutable Cache compiled_;
 };
 
 }  // namespace ms::rt

@@ -45,6 +45,7 @@ Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_transfer(kind, index_, buf, offset, bytes, deps);
   }
+  reject_phantoms(deps);
 
   Action* a = ctx_->acquire_action();
   a->kind = kind;
@@ -78,6 +79,7 @@ Event Stream::enqueue_kernel(KernelLaunch launch, const std::vector<Event>& deps
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_kernel(index_, std::move(launch), deps);
   }
+  reject_phantoms(deps);
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Kernel;
   // Labels only feed trace spans; intern them (stable storage, no per-span
@@ -97,10 +99,23 @@ Event Stream::enqueue_barrier(const std::vector<Event>& deps) {
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_barrier(index_, deps);
   }
+  reject_phantoms(deps);
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Barrier;
   a->label = "barrier";
   return enqueue_common(a, deps);
+}
+
+// A capture phantom names a graph node and never completes: waiting on one
+// outside its capture would wedge this stream for good, so it is refused
+// before any action or wait edge exists.
+void Stream::reject_phantoms(const std::vector<Event>& deps) {
+  for (const Event& e : deps) {
+    if (e.state_ != nullptr && e.state_->capture_node != 0) {
+      throw Error("Stream::enqueue: dependency is a graph-capture phantom event; it names a "
+                  "node of the captured graph and never completes outside that capture");
+    }
+  }
 }
 
 Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
@@ -315,7 +330,7 @@ void Stream::on_complete(Action* a) {
   const bool pooled = a->pooled;
 
   const sim::SimTime now = engine_->now();
-  // Same notification order as the interpreted path: external waiters (the
+  // Same notification order as the graph walk: external waiters (the
   // state's, when one exists) fire before graph dependents, and both before
   // the stream's next action arms. Wait edges fire in registration order and
   // go back to their pool before their action arms.

@@ -71,6 +71,8 @@ private:
   /// per-enqueue event/waiter machinery.
   void push_compiled(detail::Action* a);
 
+  /// Throw rt::Error if any dependency is a graph-capture phantom.
+  static void reject_phantoms(const std::vector<Event>& deps);
   Event enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset, std::size_t bytes,
                          const std::vector<Event>& deps);
   Event enqueue_common(detail::Action* a, const std::vector<Event>& deps,

@@ -33,7 +33,7 @@ telemetry::Gauge& tel_done() {
   return g;
 }
 
-/// Common entry bookkeeping for every search variant. Searches are the
+/// Entry bookkeeping for every search. Searches are the
 /// longest-running library paths, so this is also where a standalone tuner
 /// process (no Context constructed yet) picks up MS_OBS_ADDR and starts the
 /// live scrape endpoint for watching ms_tuner_candidates_done.
@@ -42,39 +42,6 @@ void tel_search_begin(std::size_t candidates) {
   tel_searches().add(1);
   tel_candidates().add(candidates);
   tel_done().set(0);
-}
-
-/// Evaluate one candidate under a fresh Capture; hazardous evaluations
-/// return infinity so the ordered reduction skips them unchanged.
-double validated_eval(const std::function<double(Tuner::Candidate)>& metric, Tuner::Candidate c,
-                      bool* hazardous) {
-  analyze::Capture capture;
-  const double v = metric(c);
-  *hazardous = !capture.clean();
-  return *hazardous ? std::numeric_limits<double>::infinity() : v;
-}
-
-Tuner::Result validated_reduce(const std::vector<Tuner::Candidate>& candidates,
-                               const std::vector<double>& values,
-                               const std::vector<char>& hazardous) {
-  Tuner::Result r;
-  r.best_metric = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    ++r.evaluated;
-    if (hazardous[i] != 0) {
-      ++r.hazardous;
-      continue;
-    }
-    if (values[i] < r.best_metric) {
-      r.best_metric = values[i];
-      r.best = candidates[i];
-    }
-  }
-  tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
-  if (r.hazardous == candidates.size()) {
-    throw Error("Tuner::search_validated: every candidate configuration reported hazards");
-  }
-  return r;
 }
 
 telemetry::Counter& tel_lint_pruned() {
@@ -100,7 +67,7 @@ std::vector<Tuner::Candidate> lint_prune(const std::vector<Tuner::Candidate>& ca
   }
   tel_lint_pruned().add(static_cast<std::uint64_t>(*pruned));
   if (kept.empty()) {
-    throw Error("Tuner::search_validated: the lint pre-prune rejected every candidate "
+    throw Error("Tuner::search: the lint pre-prune rejected every candidate "
                 "(no partition count fits the device's core granularity)");
   }
   return kept;
@@ -158,134 +125,63 @@ std::vector<Tuner::Candidate> Tuner::exhaustive_space(const sim::CoprocessorSpec
 }
 
 Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
-                            const std::function<double(Candidate)>& metric) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search: empty candidate list");
-  }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  Result r;
-  r.best_metric = std::numeric_limits<double>::max();
-  for (const Candidate& c : candidates) {
-    const double v = metric(c);
-    tel_done().add(1);
-    ++r.evaluated;
-    if (v < r.best_metric) {
-      r.best_metric = v;
-      r.best = c;
-    }
-  }
-  return r;
-}
-
-Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
                             const std::function<double(Candidate)>& metric,
-                            const sim::SweepOptions& sweep) {
+                            const SearchOptions& opt) {
   if (candidates.empty()) {
     throw std::invalid_argument("Tuner::search: empty candidate list");
   }
   if (!metric) {
     throw std::invalid_argument("Tuner::search: empty metric");
   }
+  if (opt.lint != nullptr && !opt.validate) {
+    throw std::invalid_argument("Tuner::search: the lint pre-prune requires validate");
+  }
+  Result r;
+  std::vector<Candidate> kept;
+  if (opt.lint != nullptr) kept = lint_prune(candidates, *opt.lint, &r.pruned);
+  const std::vector<Candidate>& space = opt.lint != nullptr ? kept : candidates;
+
   const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
+  tel_search_begin(space.size());
+  // With threads > 1 each evaluation installs its Capture on whichever pool
+  // worker runs it — the thread-local scoping gives per-candidate
+  // attribution for free.
+  std::vector<char> hazardous(space.size(), 0);
   const auto values = sim::parallel_map<double>(
-      candidates.size(),
+      space.size(),
       [&](std::size_t i) {
-        const double v = metric(candidates[i]);
+        double v = 0.0;
+        if (opt.validate) {
+          const analyze::Capture capture;
+          v = metric(space[i]);
+          hazardous[i] = capture.clean() ? 0 : 1;
+        } else {
+          v = metric(space[i]);
+        }
         tel_done().add(1);
         return v;
       },
-      sweep);
+      opt.sweep);
 
-  // Ordered reduction: same winner and tie-breaks as the serial loop.
-  Result r;
+  // Ordered reduction: the same winner and tie-breaks at any thread count.
   r.best_metric = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (std::size_t i = 0; i < space.size(); ++i) {
     ++r.evaluated;
+    if (hazardous[i] != 0) {
+      ++r.hazardous;
+      continue;
+    }
     if (values[i] < r.best_metric) {
       r.best_metric = values[i];
-      r.best = candidates[i];
+      r.best = space[i];
     }
   }
-  return r;
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
+  if (opt.validate) {
+    tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
+    if (r.hazardous == space.size()) {
+      throw Error("Tuner::search: every candidate configuration reported hazards");
+    }
   }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search_validated: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  std::vector<double> values(candidates.size());
-  std::vector<char> hazardous(candidates.size(), 0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    bool bad = false;
-    values[i] = validated_eval(metric, candidates[i], &bad);
-    hazardous[i] = bad ? 1 : 0;
-    tel_done().add(1);
-  }
-  return validated_reduce(candidates, values, hazardous);
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::SweepOptions& sweep) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search_validated: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  // Each evaluation installs its own Capture on whichever pool worker runs
-  // it — the thread-local scoping gives per-candidate attribution for free.
-  std::vector<char> hazardous(candidates.size(), 0);
-  const auto values = sim::parallel_map<double>(
-      candidates.size(),
-      [&](std::size_t i) {
-        bool bad = false;
-        const double v = validated_eval(metric, candidates[i], &bad);
-        hazardous[i] = bad ? 1 : 0;
-        tel_done().add(1);
-        return v;
-      },
-      sweep);
-  return validated_reduce(candidates, values, hazardous);
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::CoprocessorSpec& spec) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  std::size_t pruned = 0;
-  const std::vector<Candidate> kept = lint_prune(candidates, spec, &pruned);
-  Result r = search_validated(kept, metric);
-  r.pruned = pruned;
-  return r;
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::CoprocessorSpec& spec,
-                                      const sim::SweepOptions& sweep) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  std::size_t pruned = 0;
-  const std::vector<Candidate> kept = lint_prune(candidates, spec, &pruned);
-  Result r = search_validated(kept, metric, sweep);
-  r.pruned = pruned;
   return r;
 }
 

@@ -26,6 +26,31 @@ struct TunerOptions {
   bool include_single_partition = false;
 };
 
+/// How Tuner::search evaluates a candidate list.
+struct SearchOptions {
+  /// Evaluation threads, via sim::parallel_map. The default runs every
+  /// evaluation inline on the calling thread, so `metric` need not be
+  /// thread-safe. `threads` 0 or N > 1 spread the evaluations over the shared
+  /// sweep pool and need a thread-safe metric (simulator-backed metrics are,
+  /// since every evaluation builds its own Context). Either way the ranking
+  /// is reduced in candidate order, so the winner and its tie-breaks do not
+  /// depend on the thread count.
+  sim::SweepOptions sweep{1};
+  /// Evaluate every candidate under its own analyze::Capture: the Contexts
+  /// the metric builds record their action graphs, and a candidate whose
+  /// pipeline contains any hazard (race, use-before-write, deadlock, ...) is
+  /// excluded from the ranking and counted in Result::hazardous instead — a
+  /// generated configuration's virtual time is only trusted once it is
+  /// proven hazard-free. Throws rt::Error when every candidate is hazardous.
+  bool validate = false;
+  /// Requires `validate`. First drop the shapes the static performance
+  /// linter rejects against this spec (`analyze::check_partition_shape`:
+  /// split-core partitions, paper Section V) without building a Context or
+  /// running the simulator; they are counted in Result::pruned and never
+  /// evaluated. Throws rt::Error when the linter rejects every candidate.
+  const sim::CoprocessorSpec* lint = nullptr;
+};
+
 class Tuner {
 public:
   struct Candidate {
@@ -37,12 +62,12 @@ public:
     Candidate best{};
     double best_metric = 0.0;
     std::size_t evaluated = 0;
-    /// Candidates whose pipelines the hazard analyzer rejected (only
-    /// search_validated() fills this; they never become `best`).
+    /// Candidates whose pipelines the hazard analyzer rejected (only with
+    /// SearchOptions::validate; they never become `best`).
     std::size_t hazardous = 0;
     /// Candidates the static performance linter rejected before any
-    /// simulation ran (only the spec-taking search_validated() overloads
-    /// fill this; they are never evaluated, never `best`).
+    /// simulation ran (only with SearchOptions::lint; they are never
+    /// evaluated, never `best`).
     std::size_t pruned = 0;
   };
 
@@ -64,48 +89,13 @@ public:
                                                                int max_tiles);
 
   /// Evaluate `metric` (lower is better — e.g. virtual execution time in
-  /// ms) over a candidate list and return the winner. Evaluations run
-  /// serially; ties keep the earliest candidate.
-  [[nodiscard]] static Result search(const std::vector<Candidate>& candidates,
-                                     const std::function<double(Candidate)>& metric);
-
-  /// Parallel variant: candidates are evaluated across the shared sweep
-  /// pool (`metric` must therefore be thread-safe — simulator-backed
-  /// metrics are, since every evaluation builds its own Context). The
-  /// reduction is performed in candidate order afterwards, so the winner,
-  /// including tie-breaks, is identical to the serial search.
+  /// ms) over a candidate list and return the winner; ties keep the earliest
+  /// candidate. `opt` picks the thread count, hazard validation, and the lint
+  /// pre-prune (see SearchOptions). Throws std::invalid_argument on an empty
+  /// candidate list, an empty metric, or `lint` without `validate`.
   [[nodiscard]] static Result search(const std::vector<Candidate>& candidates,
                                      const std::function<double(Candidate)>& metric,
-                                     const sim::SweepOptions& sweep);
-
-  /// Like search(), but every candidate evaluation runs under an installed
-  /// analyze::Capture: the Contexts the metric builds record their action
-  /// graphs, and a candidate whose pipeline contains any hazard (race,
-  /// use-before-write, deadlock, ...) is excluded from the ranking and
-  /// counted in Result::hazardous instead — a generated configuration's
-  /// virtual time is only trusted once it is proven hazard-free. Throws
-  /// rt::Error when every candidate is hazardous. The parallel overload
-  /// keeps the serial ranking (per-worker Captures, ordered reduction).
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric);
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::SweepOptions& sweep);
-
-  /// Like search_validated(), but first pre-prunes the candidate list with
-  /// the static performance linter: shapes `analyze::check_partition_shape`
-  /// rejects against `spec` (split-core partitions, paper Section V) are
-  /// skipped without ever building a Context or running the simulator, and
-  /// counted in Result::pruned. Throws rt::Error when the linter rejects
-  /// every candidate. The surviving candidates go through the exact
-  /// hazard-validated search above.
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::CoprocessorSpec& spec);
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::CoprocessorSpec& spec,
-                                               const sim::SweepOptions& sweep);
+                                     const SearchOptions& opt = {});
 };
 
 }  // namespace ms::rt

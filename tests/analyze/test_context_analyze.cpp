@@ -225,12 +225,13 @@ TEST(TunerValidated, SkipsHazardousCandidates) {
     return static_cast<double>(c.tiles);  // racy candidate would win on time
   };
 
-  const auto serial = ms::rt::Tuner::search_validated(space, metric);
+  const auto serial = ms::rt::Tuner::search(space, metric, {.validate = true});
   EXPECT_EQ(serial.evaluated, 3u);
   EXPECT_EQ(serial.hazardous, 1u);
   EXPECT_EQ(serial.best.tiles, 2);
 
-  const auto sweep = ms::rt::Tuner::search_validated(space, metric, ms::sim::SweepOptions{});
+  const auto sweep =
+      ms::rt::Tuner::search(space, metric, {.sweep = ms::sim::SweepOptions{}, .validate = true});
   EXPECT_EQ(sweep.hazardous, serial.hazardous);
   EXPECT_EQ(sweep.best.tiles, serial.best.tiles);
   EXPECT_EQ(sweep.best_metric, serial.best_metric);
@@ -247,7 +248,7 @@ TEST(TunerValidated, ThrowsWhenEveryCandidateIsHazardous) {
     ctx.synchronize();
     return 1.0;
   };
-  EXPECT_THROW((void)ms::rt::Tuner::search_validated(space, metric), ms::rt::Error);
+  EXPECT_THROW((void)ms::rt::Tuner::search(space, metric, {.validate = true}), ms::rt::Error);
 }
 
 }  // namespace

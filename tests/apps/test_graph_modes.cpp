@@ -1,11 +1,13 @@
 // The apps' replay-shaped inner loops through the graph executor: for every
-// ported app, functional checksums must be identical across Direct /
-// Interpreted / Compiled issue modes, and virtual times must be BIT-identical
-// between the interpreted and compiled replay paths — on one card and two,
-// and regardless of the kernel engine's thread count.
+// ported app, functional checksums must be identical across the Direct and
+// Compiled issue modes, and virtual times must be BIT-identical between the
+// compiled plan replay and the node-by-node walk an analyzing context takes
+// (the reference path) — on one card and two, and regardless of the kernel
+// engine's thread count.
 
 #include <gtest/gtest.h>
 
+#include "analyze/capture.hpp"
 #include "apps/cf_app.hpp"
 #include "apps/hotspot_app.hpp"
 #include "apps/kmeans_app.hpp"
@@ -20,31 +22,39 @@ namespace {
 
 struct Modes {
   AppResult direct;
-  AppResult interpreted;
   AppResult compiled;
+  AppResult walked;  ///< Compiled mode on analyzing contexts: the graph walk
 };
+
+/// Compiled mode run under an analyze::Capture: every context the app builds
+/// analyzes, so each replay walks the graph through the regular enqueue path.
+template <typename App, typename Config>
+AppResult run_walked(const sim::SimConfig& cfg, Config c) {
+  analyze::Capture capture;
+  c.common.graph = GraphMode::Compiled;
+  return App::run(cfg, c);
+}
 
 template <typename App, typename Config>
 Modes run_modes(const sim::SimConfig& cfg, Config c) {
   Modes m;
   c.common.graph = GraphMode::Direct;
   m.direct = App::run(cfg, c);
-  c.common.graph = GraphMode::Interpreted;
-  m.interpreted = App::run(cfg, c);
   c.common.graph = GraphMode::Compiled;
   m.compiled = App::run(cfg, c);
+  m.walked = run_walked<App>(cfg, c);
   return m;
 }
 
 void expect_identical(const Modes& m) {
   // Functional results do not depend on the issue mode at all.
-  EXPECT_EQ(m.interpreted.checksum, m.direct.checksum);
+  EXPECT_EQ(m.walked.checksum, m.direct.checksum);
   EXPECT_EQ(m.compiled.checksum, m.direct.checksum);
-  // Replay pricing differs from per-enqueue pricing, but the interpreted and
-  // compiled replays charge exactly the same costs in the same order.
-  EXPECT_EQ(m.compiled.ms, m.interpreted.ms);
+  // Replay pricing differs from per-enqueue pricing, but the plan replay and
+  // the walk charge exactly the same costs in the same order.
+  EXPECT_EQ(m.compiled.ms, m.walked.ms);
   EXPECT_GT(m.direct.ms, 0.0);
-  EXPECT_GT(m.interpreted.ms, 0.0);
+  EXPECT_GT(m.walked.ms, 0.0);
 }
 
 MmConfig mm_cfg() {
@@ -173,18 +183,17 @@ TEST(GraphModes, ThreadCountInvariant) {
 }
 
 // graph_batch issues every phase replay as M back-to-back instances —
-// launch_batch on the compiled path, a launch loop on the interpreted one.
-// The two must stay bit-identical, and the batch must actually multiply the
-// replayed schedule.
+// launch_batch's arena on a plain context, a loop of walks on an analyzing
+// one. The two must stay bit-identical, and the batch must actually multiply
+// the replayed schedule.
 TEST(GraphModes, BatchedPhasesBitIdenticalAcrossPaths) {
   auto c = mm_cfg();
   c.common.functional = false;
   c.common.graph_batch = 3;
-  c.common.graph = GraphMode::Interpreted;
-  const auto interpreted = MmApp::run(sim::SimConfig::phi_31sp(), c);
+  const auto walked = run_walked<MmApp>(sim::SimConfig::phi_31sp(), c);
   c.common.graph = GraphMode::Compiled;
   const auto compiled = MmApp::run(sim::SimConfig::phi_31sp(), c);
-  EXPECT_EQ(compiled.ms, interpreted.ms);
+  EXPECT_EQ(compiled.ms, walked.ms);
 
   c.common.graph_batch = 1;
   const auto single = MmApp::run(sim::SimConfig::phi_31sp(), c);

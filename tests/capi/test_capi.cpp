@@ -204,6 +204,36 @@ TEST(CApi, GraphErrorPaths) {
             MSTREAM_ERR_RUNTIME);
 }
 
+TEST(CApi, GraphLaunchValidatesBeforeIssuing) {
+  // Node 1 names a stream the context does not have: the launch fails as a
+  // whole, so node 0's upload never runs and never costs virtual time — the
+  // session ends exactly where an untouched twin session does.
+  auto run = [](bool launch) {
+    CApiSession session(2);
+    std::vector<float> a(1 << 18, 1.0f);
+    EXPECT_EQ(mstream_app_create_buf(a.data(), a.size() * sizeof(float)), MSTREAM_SUCCESS);
+    mstream_graph g = 0;
+    EXPECT_EQ(mstream_graph_create(&g), MSTREAM_SUCCESS);
+    mstream_node up = 0;
+    EXPECT_EQ(mstream_graph_add_xfer(g, 0, a.data(), a.size() * sizeof(float),
+                                     MSTREAM_HOST_TO_SINK, nullptr, 0, &up),
+              MSTREAM_SUCCESS);
+    mstream_work work{};
+    EXPECT_EQ(mstream_graph_add_kernel(g, 5, "k", &work, nullptr, nullptr, &up, 1, nullptr),
+              MSTREAM_SUCCESS);
+    EXPECT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
+    if (launch) {
+      const double before = mstream_virtual_time_ms();
+      EXPECT_EQ(mstream_graph_launch(g, nullptr), MSTREAM_ERR_RUNTIME);
+      EXPECT_NE(mstream_last_error()[0], '\0');
+      EXPECT_EQ(mstream_virtual_time_ms(), before);
+    }
+    EXPECT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
+    return mstream_virtual_time_ms();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 TEST(CApi, TimingOnlyKernelAdvancesVirtualClock) {
   CApiSession session(4);
   const double before = mstream_virtual_time_ms();

@@ -1,5 +1,6 @@
-// Compiled graph executor: determinism vs the interpreted path, the
-// compile-error gallery, stream capture, and the graph cache.
+// Compiled graph executor: determinism vs the node-by-node walk an
+// analyzing context takes, the compile-error gallery, stream capture, and
+// the graph cache.
 
 #include "rt/compiled_graph.hpp"
 
@@ -7,8 +8,10 @@
 
 #include <cstddef>
 #include <numeric>
+#include <optional>
 #include <vector>
 
+#include "analyze/capture.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
 #include "rt/graph.hpp"
@@ -49,19 +52,36 @@ Graph make_pipeline(BufferId buf, std::size_t bytes, int tiles, int streams) {
 
 // ---------------------------------------------------------------------------
 // Determinism: virtual times and results must be bit-identical across the
-// interpreted, compiled, and batched paths.
+// walk (the reference: an analyzing context issues every node through the
+// regular enqueue path), the compiled plan, and the batched paths.
 // ---------------------------------------------------------------------------
 
 TEST(CompiledGraph, VirtualTimeBitIdenticalToInterpreted) {
   constexpr int kReplays = 7;
 
-  Context interp(cfg());
-  interp.setup(4);
-  interp.set_tracing(false);
-  const auto b1 = interp.create_virtual_buffer(1 << 20);
+  double walked_us = 0.0;
+  {
+    // Contexts built while a Capture is installed analyze (and report to
+    // it, so it must outlive them): their launches walk the graph.
+    analyze::Capture capture;
+    Context walked(cfg());
+    ASSERT_TRUE(walked.analyzing());
+    walked.setup(4);
+    walked.set_tracing(false);
+    const auto b0 = walked.create_virtual_buffer(1 << 20);
+    const Graph g0 = make_pipeline(b0, 1 << 20, 64, 4);
+    for (int i = 0; i < kReplays; ++i) g0.launch(walked);
+    walked.synchronize();
+    walked_us = walked.host_time().micros();
+  }
+
+  Context cached(cfg());
+  cached.setup(4);
+  cached.set_tracing(false);
+  const auto b1 = cached.create_virtual_buffer(1 << 20);
   const Graph g1 = make_pipeline(b1, 1 << 20, 64, 4);
-  for (int i = 0; i < kReplays; ++i) g1.launch(interp);
-  interp.synchronize();
+  for (int i = 0; i < kReplays; ++i) g1.launch(cached);  // compiles once, then replays
+  cached.synchronize();
 
   Context comp(cfg());
   comp.setup(4);
@@ -82,15 +102,20 @@ TEST(CompiledGraph, VirtualTimeBitIdenticalToInterpreted) {
   batch.synchronize();
 
   // Bit-identical, not just close: EXPECT_EQ on the raw micros.
-  EXPECT_EQ(interp.host_time().micros(), comp.host_time().micros());
-  EXPECT_EQ(interp.host_time().micros(), batch.host_time().micros());
+  EXPECT_EQ(walked_us, cached.host_time().micros());
+  EXPECT_EQ(walked_us, comp.host_time().micros());
+  EXPECT_EQ(walked_us, batch.host_time().micros());
   EXPECT_EQ(cg.replays(), static_cast<std::uint64_t>(kReplays));
   EXPECT_EQ(cgb.replays(), static_cast<std::uint64_t>(kReplays));
 }
 
 TEST(CompiledGraph, FunctionalResultsMatchInterpreted) {
   auto run = [](bool compiled) {
+    // The reference side analyzes, so its launch walks the graph.
+    std::optional<analyze::Capture> capture;
+    if (!compiled) capture.emplace();
     Context ctx(cfg());
+    EXPECT_EQ(ctx.analyzing(), !compiled);
     ctx.setup(2);
     std::vector<float> a(1024), b(1024, 0.0f);
     std::iota(a.begin(), a.end(), 1.0f);
@@ -251,6 +276,8 @@ TEST(CompiledGraph, CompiledReplayIsSameVirtualCostAsInterpreted) {
   // The feature changes host wall-clock, never the modelled cost: one replay
   // charges graph_launch_base + (n+1) * graph_replay_per_node either way.
   auto issue_cost = [](bool compiled) {
+    std::optional<analyze::Capture> capture;  // the reference side walks
+    if (!compiled) capture.emplace();
     Context ctx(cfg());
     ctx.setup(2);
     ctx.set_tracing(false);
@@ -259,11 +286,7 @@ TEST(CompiledGraph, CompiledReplayIsSameVirtualCostAsInterpreted) {
     CompiledGraph cg = g.compile(ctx);
     ctx.synchronize();
     const auto t0 = ctx.host_time();
-    if (compiled) {
-      cg.launch(ctx);
-    } else {
-      g.launch(ctx);
-    }
+    cg.launch(ctx);
     const auto cost = ctx.host_time() - t0;
     ctx.synchronize();
     return cost;
@@ -278,6 +301,64 @@ TEST(CompiledGraph, CompiledReplayIsSameVirtualCostAsInterpreted) {
   const auto expected =
       ov.graph_launch_base + ov.graph_replay_per_node * static_cast<double>(probe.size() + 1);
   EXPECT_NEAR(comp.micros(), expected.micros(), 1e-9);
+}
+
+TEST(CompiledGraph, AnalyzingLaunchValidatesBeforeWalking) {
+  // The walk an analyzing context takes must reject a plan that does not
+  // fit the context before issuing any node, like the plan replay does: the
+  // failed launch's context ends exactly where an untouched twin does.
+  Context big(cfg());
+  big.setup(4);
+  const auto buf = big.create_virtual_buffer(1 << 20);
+  Graph g;
+  const auto up = g.add_h2d(0, buf, 0, 1 << 20);
+  g.add_kernel(3, {"k", work(), {}}, {up});
+  CompiledGraph cg = g.compile(big);
+
+  auto run = [&](bool launch) {
+    analyze::Capture capture;
+    Context small(cfg());
+    EXPECT_TRUE(small.analyzing());
+    small.setup(2);  // stream 3 does not exist here
+    EXPECT_EQ(small.create_virtual_buffer(1 << 20).value, buf.value);
+    small.synchronize();
+    if (launch) {
+      const auto t0 = small.host_time();
+      EXPECT_THROW((void)cg.launch(small), Error);
+      EXPECT_EQ(small.host_time().micros(), t0.micros());
+    }
+    small.synchronize();
+    EXPECT_EQ(small.timeline().size(), 0u);
+    return small.host_time().micros();
+  };
+  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(cg.replays(), 0u);
+}
+
+TEST(CompiledGraph, ContextRebuiltAtTheSameAddressIsRevalidated) {
+  // The executor caches its validation per (context, layout epoch). A
+  // context built where a destroyed one lived has a different layout here
+  // (2 partitions instead of 4, so other kernel durations); the replay must
+  // match a fresh executor's, not reuse the dead context's streams.
+  Graph g;
+  g.add_kernel(1, {"k", work(), {}});
+  std::optional<Context> ctx;
+  ctx.emplace(cfg());
+  ctx->setup(4);
+  CompiledGraph cg = g.compile(*ctx);
+  cg.launch(*ctx);
+  ctx->synchronize();
+
+  ctx.emplace(cfg());
+  ctx->setup(2);
+  cg.launch(*ctx);
+  ctx->synchronize();
+
+  Context fresh(cfg());
+  fresh.setup(2);
+  g.compile(fresh).launch(fresh);
+  fresh.synchronize();
+  EXPECT_EQ(ctx->host_time().micros(), fresh.host_time().micros());
 }
 
 TEST(CompiledGraph, DestroyingExecutorWithLaunchesInFlightIsSafe) {

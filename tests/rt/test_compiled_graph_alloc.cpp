@@ -108,5 +108,57 @@ TEST(CompiledGraphAlloc, SteadyStateArenaBatchAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << "steady-state arena batch must not allocate";
 }
 
+TEST(CompiledGraphAlloc, WarmGraphLaunchAllocatesNothing) {
+  // Graph::launch compiles on first use and caches the executor: later
+  // launches replay the cached plan exactly like CompiledGraph::launch.
+  Context ctx(sim::SimConfig::phi_31sp());
+  ctx.setup(4);
+  ctx.set_tracing(false);
+  const std::size_t bytes = 1 << 18;
+  const auto buf = ctx.create_virtual_buffer(bytes);
+
+  Graph g;
+  const auto ranges = split_even(bytes, 16);
+  for (std::size_t t = 0; t < ranges.size(); ++t) {
+    const int s = static_cast<int>(t) % 4;
+    const auto up = g.add_h2d(s, buf, ranges[t].begin, ranges[t].size());
+    g.add_kernel(s, {"k", work(), {}}, {up});
+  }
+
+  for (int i = 0; i < 3; ++i) {
+    g.launch(ctx);
+    ctx.synchronize();
+  }
+
+  const std::size_t before = test::allocations();
+  for (int i = 0; i < 100; ++i) {
+    g.launch(ctx);
+    ctx.synchronize();
+  }
+  const std::size_t after = test::allocations();
+  EXPECT_EQ(after - before, 0u) << "warm Graph::launch must not allocate";
+}
+
+TEST(CompiledGraphAlloc, AddAfterLaunchRecompiles) {
+  // The cached plan must not outlive a change to the graph: a node added
+  // after a launch has to run on the next one.
+  Context ctx(sim::SimConfig::phi_31sp());
+  ctx.setup(2);
+  int first = 0;
+  int added = 0;
+  Graph g;
+  const auto k = g.add_kernel(0, {"first", work(), [&first] { ++first; }});
+  g.launch(ctx);
+  ctx.synchronize();
+  EXPECT_EQ(first, 1);
+
+  g.add_kernel(1, {"added", work(), [&added] { ++added; }}, {k});
+  const Event done = g.launch(ctx);
+  ctx.synchronize();
+  EXPECT_TRUE(done.done());
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(added, 1);
+}
+
 }  // namespace
 }  // namespace ms::rt

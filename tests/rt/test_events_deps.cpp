@@ -3,6 +3,8 @@
 #include <vector>
 
 #include "rt/context.hpp"
+#include "rt/errors.hpp"
+#include "rt/graph.hpp"
 
 namespace ms::rt {
 namespace {
@@ -189,6 +191,34 @@ TEST(Events, PendingDependentsMayOutliveTheirContext) {
   // the events kept alive past the context.
   head = Event{};
   tail = Event{};
+}
+
+TEST(Events, CapturePhantomIsRejectedAsADirectDependency) {
+  // An enqueue during a capture returns a phantom that names a graph node and
+  // never completes. Handed to a direct enqueue after the capture it would
+  // wedge the dependent stream for good, so every enqueue kind refuses it up
+  // front: nothing is queued and the context still drains.
+  Context ctx(cfg());
+  ctx.setup(2);
+  const auto buf = ctx.create_virtual_buffer(1 << 16);
+  Graph g;
+  ctx.begin_capture(g);
+  const Event phantom = ctx.stream(0).enqueue_kernel({"captured", work(), {}});
+  ctx.end_capture();
+  ASSERT_EQ(g.size(), 1u);
+
+  EXPECT_THROW((void)ctx.stream(1).enqueue_kernel({"k", work(), {}}, {phantom}), Error);
+  EXPECT_THROW((void)ctx.stream(1).enqueue_barrier({Event{}, phantom}), Error);
+  EXPECT_THROW((void)ctx.stream(1).enqueue_h2d(buf, 0, 1 << 16, {phantom}), Error);
+  EXPECT_THROW((void)ctx.stream(0).enqueue_d2h(buf, 0, 1 << 16, {phantom}), Error);
+  EXPECT_TRUE(ctx.stream(0).idle());
+  EXPECT_TRUE(ctx.stream(1).idle());
+  EXPECT_NO_THROW(ctx.synchronize());
+
+  const Event after = ctx.stream(1).enqueue_kernel({"after", work(), {}});
+  EXPECT_NO_THROW(ctx.synchronize());
+  EXPECT_TRUE(after.done());
+  EXPECT_EQ(ctx.timeline().size(), 1u);
 }
 
 }  // namespace

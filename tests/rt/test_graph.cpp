@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "rt/context.hpp"
@@ -169,6 +170,57 @@ TEST(Graph, InvalidStreamSurfacesAtLaunch) {
   Graph g;
   g.add_kernel(3, {"k", work(), {}});
   EXPECT_THROW((void)g.launch(ctx), Error);
+}
+
+TEST(Graph, InvalidStreamOnALaterNodeIssuesNothing) {
+  // The whole DAG is validated before any node issues: a bad stream on node 1
+  // must not leave node 0's transfer behind on the timeline or the clock. The
+  // failed launch's context must end exactly where an untouched twin does.
+  auto run = [](bool launch) {
+    Context ctx(cfg());
+    ctx.setup(2);
+    const auto buf = ctx.create_virtual_buffer(1 << 20);
+    Graph g;
+    const auto up = g.add_h2d(0, buf, 0, 1 << 20);
+    g.add_kernel(5, {"k", work(), {}}, {up});
+    ctx.synchronize();
+    if (launch) {
+      const auto t0 = ctx.host_time();
+      EXPECT_THROW((void)g.launch(ctx), Error);
+      EXPECT_EQ(ctx.host_time().micros(), t0.micros());
+    }
+    ctx.synchronize();
+    EXPECT_EQ(ctx.timeline().size(), 0u);
+    return ctx.host_time().micros();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Graph, LaunchesOnAContextRebuiltAtTheSameAddress) {
+  // launch() caches its validation per (context, layout). A context built in
+  // the storage of a destroyed one must not inherit that cache: it would
+  // replay onto the dead context's streams at the dead layout's kernel
+  // durations. Each round must cost what a fresh graph costs there.
+  auto build = [] {
+    Graph g;
+    g.add_kernel(1, {"k", work(), {}});
+    return g;
+  };
+  const Graph g = build();
+  std::optional<Context> ctx;
+  for (const int partitions : {4, 2}) {
+    ctx.emplace(cfg());
+    ctx->setup(partitions);
+    g.launch(*ctx);
+    ctx->synchronize();
+
+    Context fresh(cfg());
+    fresh.setup(partitions);
+    build().launch(fresh);
+    fresh.synchronize();
+    EXPECT_EQ(ctx->host_time().micros(), fresh.host_time().micros()) << partitions;
+    EXPECT_EQ(ctx->timeline().size(), 2u);  // the kernel and the completion barrier
+  }
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "rt/context.hpp"
 
 namespace ms::rt {
 namespace {
@@ -79,6 +84,71 @@ TEST(Tuner, SearchEmptyInputsThrow) {
   EXPECT_THROW((void)Tuner::search({}, [](Tuner::Candidate) { return 0.0; }), std::invalid_argument);
   const auto space = Tuner::pruned_space(phi());
   EXPECT_THROW((void)Tuner::search(space, {}), std::invalid_argument);
+}
+
+// One fixed space for the SearchOptions table: P=3 and P=5 split cores on
+// the 56 usable cores (the lint pre-prune drops them), and (4,4) races —
+// its two uploads of one range are unordered — while posting the best time.
+const std::vector<Tuner::Candidate> kTableSpace = {{2, 4}, {3, 3}, {4, 4}, {5, 5},
+                                                   {4, 8}, {7, 7}, {8, 8}};
+
+double table_metric(Tuner::Candidate c) {
+  static const std::map<std::pair<int, int>, double> kTime = {
+      {{2, 4}, 5.0}, {{3, 3}, 3.0}, {{4, 4}, 0.0}, {{5, 5}, 1.0},
+      {{4, 8}, 2.0}, {{7, 7}, 2.0}, {{8, 8}, 4.0}};
+  Context ctx(sim::SimConfig::phi_31sp());
+  ctx.setup(2);
+  const auto buf = ctx.create_virtual_buffer(4096);
+  const Event up = ctx.stream(0).enqueue_h2d(buf, 0, 4096);
+  const bool racy = c.partitions == 4 && c.tiles == 4;
+  ctx.stream(1).enqueue_h2d(buf, 0, 4096, racy ? std::vector<Event>{} : std::vector<Event>{up});
+  ctx.synchronize();
+  return kTime.at({c.partitions, c.tiles});
+}
+
+TEST(Tuner, SearchOptionsTable) {
+  // Each row must hold serial and pooled alike: the reduction runs in
+  // candidate order whatever the thread count.
+  struct Row {
+    bool validate;
+    bool lint;
+    Tuner::Candidate best;
+    double best_metric;
+    std::size_t evaluated, hazardous, pruned;
+  };
+  const Row rows[] = {
+      {false, false, {4, 4}, 0.0, 7, 0, 0},  // the racy shape wins unchecked
+      {true, false, {5, 5}, 1.0, 7, 1, 0},   // hazard excluded, split core wins
+      {true, true, {4, 8}, 2.0, 5, 1, 2},    // split cores pruned; tie keeps (4,8)
+  };
+  const sim::CoprocessorSpec spec = phi();
+  for (const int threads : {1, 0}) {
+    for (const Row& row : rows) {
+      SearchOptions opt;
+      opt.sweep.threads = threads;
+      opt.validate = row.validate;
+      opt.lint = row.lint ? &spec : nullptr;
+      const auto r = Tuner::search(kTableSpace, table_metric, opt);
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " validate " << row.validate
+                                      << " lint " << row.lint);
+      EXPECT_EQ(r.best.partitions, row.best.partitions);
+      EXPECT_EQ(r.best.tiles, row.best.tiles);
+      EXPECT_EQ(r.best_metric, row.best_metric);
+      EXPECT_EQ(r.evaluated, row.evaluated);
+      EXPECT_EQ(r.hazardous, row.hazardous);
+      EXPECT_EQ(r.pruned, row.pruned);
+    }
+  }
+}
+
+TEST(Tuner, LintWithoutValidateThrows) {
+  const sim::CoprocessorSpec spec = phi();
+  for (const int threads : {1, 0}) {
+    SearchOptions opt;
+    opt.sweep.threads = threads;
+    opt.lint = &spec;
+    EXPECT_THROW((void)Tuner::search(kTableSpace, table_metric, opt), std::invalid_argument);
+  }
 }
 
 TEST(Tuner, PrunedSpaceContainsPaperOptima) {
